@@ -103,7 +103,6 @@ def _details(s: SortedSpectrum) -> DecisionDetails:
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """Decide realizability of a descending spectrum; first matching rule wins."""
     l1, l2, l3, _, l5 = s.values
-    e1 = elem_syms(s).e1
     det = _details(s)
 
     if not check_pf(s):
@@ -126,7 +125,7 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
         return RealizabilityDecision(
             Verdict.REALIZABLE, certificate=Certificate.TWO_POSITIVE, details=det
         )
-    if l3 <= e1:
+    if l3 <= det.e1:
         return RealizabilityDecision(
             Verdict.REALIZABLE, certificate=Certificate.DIRECT_SUM, details=det
         )

@@ -80,13 +80,12 @@ def pattern_a_entries(s: SortedSpectrum, scalars: PatternAScalars | None = None)
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
     if sc.u < 0.0 or sc.v < 0.0:
         raise NegativeRadicand(f"complex entries at u={sc.u}, v={sc.v}")
-    e1 = elem_syms(s).e1
     a13 = math.sqrt(sc.u / 2.0)
     a24 = sc.w / sc.u
     a25 = math.sqrt(sc.v) / sc.u
     a35 = sc.r / sc.u
     m = np.zeros((5, 5))
-    m[0, 0] = e1
+    m[0, 0] = elem_syms(s).e1
     m[0, 2] = m[2, 0] = a13
     m[0, 4] = m[4, 0] = a13
     m[1, 3] = m[3, 1] = a24
@@ -107,7 +106,6 @@ def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
             f"spectrum fails the five-cycle gate: {', '.join(report.failed)}",
             report.failed,
         )
-    assert sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0
-    m = pattern_a_entries(s, sc)
-    assert (m >= 0.0).all()
-    return SymMatrix5(m, provenance="pattern_a")
+    if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
+        raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")
+    return SymMatrix5(pattern_a_entries(s, sc), provenance="pattern_a")

@@ -74,6 +74,13 @@ def cubic_real_roots(q: CubicQ) -> tuple[float, ...]:
     return cubic.real_roots(q.c3, q.c2, q.c1, q.c0)
 
 
+def _admit(s: SortedSpectrum, x: float) -> float | None:
+    """x clamped onto [0, e1/2]; None if it lies past the rounding slack."""
+    half = 0.5 * elem_syms(s).e1
+    slack = RANGE_SLACK * max(1.0, abs(half))
+    return min(max(x, 0.0), half) if -slack <= x <= half + slack else None
+
+
 def find_g(s: SortedSpectrum) -> float | None:
     """The largest real root of Q inside [0, e1/2], or None.
 
@@ -81,16 +88,9 @@ def find_g(s: SortedSpectrum) -> float | None:
     and gets clamped onto the closed interval, so the downstream diagonal
     entries g and e1 - 2g never go negative by round-off alone.
     """
-    half = 0.5 * elem_syms(s).e1
-    q = q_poly(s)
-    slack = RANGE_SLACK * max(1.0, abs(half))
-    best = None
-    for root in cubic_real_roots(q):
-        if -slack <= root <= half + slack:
-            best = root  # roots come ascending, so the last hit is largest
-    if best is None:
-        return None
-    return min(max(best, 0.0), half)
+    roots = cubic_real_roots(q_poly(s))  # ascending, so the last hit is largest
+    hits = [g for g in (_admit(s, root) for root in roots) if g is not None]
+    return hits[-1] if hits else None
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:
@@ -152,12 +152,11 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
     l1, _, l3, _, l5 = s.values
     e1 = elem_syms(s).e1
-    half = 0.5 * e1
     q = q_poly(s)
-    slack = RANGE_SLACK * max(1.0, abs(half))
+    admitted = _admit(s, g)
     checks = (
         ("g_is_a_root", abs(q(g)) <= q.residual_bound(g)),
-        ("g_in_range", -slack <= g <= half + slack),
+        ("g_in_range", admitted is not None),
         ("min_at_least_negated_perron", l5 >= -l1),
         ("trace_nonnegative", e1 >= 0.0),
         ("third_exceeds_trace", l3 > e1),
@@ -167,15 +166,12 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(report.failed)}", report.failed
         )
-    g = min(max(g, 0.0), half)
+    g = admitted
     sc = compute_klm(s, g)
     if sc.m < 0.0 and sc.m >= -M_CLAMP_TOL * max(1.0, e1 * e1):
         sc = PatternBScalars(sc.k, sc.l, 0.0, g)
-    if sc.l < 0.0 or sc.m < 0.0:
+    if sc.l < 0.0 or sc.m < 0.0 or not sc.k > 0.0:
         raise NegativeRadicand(
-            f"radicand out of range at g={g}: l={sc.l}, m={sc.m}"
+            f"entry scalars out of range at g={g}: k={sc.k}, l={sc.l}, m={sc.m}"
         )
-    assert sc.k > 0.0
-    mtx = pattern_b_entries(s, g, sc)
-    assert (mtx >= 0.0).all()
-    return SymMatrix5(mtx, provenance="pattern_b")
+    return SymMatrix5(pattern_b_entries(s, g, sc), provenance="pattern_b")

@@ -25,8 +25,7 @@ from typing import Iterable, Iterator
 
 from .classify import RealizabilityDecision, Verdict, classify
 from .errors import EmptyGrid
-from .pattern_a import compute_uvwr
-from .spectrum import SortedSpectrum, elem_syms
+from .spectrum import SortedSpectrum
 
 CSV_HEADER = "lambda2,lambda3,lambda4,lambda5,e1,u,r,g,verdict,tag"
 
@@ -97,23 +96,21 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                         continue
                     if vals[4] < -1.0:
                         continue
-                    s = SortedSpectrum(vals)
-                    e1 = elem_syms(s).e1
-                    if e1 < 0.0:
+                    decision = classify(SortedSpectrum(vals))
+                    det = decision.details
+                    if det.e1 < 0.0:
                         # the region has trace t >= 0; at t = 0 rounding in
                         # the reconstructed sum can land a hair below zero,
                         # and such tuples misrepresent the grid point
                         continue
-                    decision = classify(s)
-                    sc = compute_uvwr(s)
                     yield RegionSample(
                         lambda2=x,
                         lambda3=y,
                         lambda4=vals[3],
                         lambda5=vals[4],
-                        e1=e1,
-                        u=sc.u,
-                        r=sc.r,
+                        e1=det.e1,
+                        u=det.u,
+                        r=det.r,
                         g=decision.g,
                         verdict=decision.verdict,
                         tag=decision_tag(decision),

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,18 @@ class Spectrum:
 
     def __iter__(self):
         return iter(self.values)
+
+    @cached_property
+    def elem_syms(self) -> ElemSyms:
+        """e1..e5, expanded on first use and then stored on this value."""
+        coeffs = [1.0]
+        for lam in sorted(self.values, reverse=True):
+            nxt = [0.0] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i] += c
+                nxt[i + 1] -= c * lam
+            coeffs = nxt
+        return ElemSyms(-coeffs[1], coeffs[2], -coeffs[3], coeffs[4], -coeffs[5])
 
 
 @dataclass(frozen=True)
@@ -123,17 +136,9 @@ def elem_syms(s: Spectrum) -> ElemSyms:
     The product prod(z - lam_i) is expanded one linear factor at a time and
     the coefficients are read off with alternating signs.  The entries are
     canonically ordered (descending) before expanding, so the result is
-    bit-for-bit independent of the input order.
+    bit-for-bit independent of the input order; each value computes it once.
     """
-    lams = sorted(s.values, reverse=True)
-    coeffs = [1.0]
-    for lam in lams:
-        nxt = [0.0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] -= c * lam
-        coeffs = nxt
-    return ElemSyms(-coeffs[1], coeffs[2], -coeffs[3], coeffs[4], -coeffs[5])
+    return s.elem_syms
 
 
 def scale(s: Spectrum, alpha: float) -> Spectrum:

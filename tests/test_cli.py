@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: output shapes, exit codes, files."""
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +35,16 @@ def test_check_text_golden():
     assert "verdict: realizable" in text
     assert "certificate: pattern_a" in text
     assert "r=306540" in text
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sniep5", "check", f"--spectrum={EX1}"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == run("check", "--spectrum", EX1)[1]
 
 
 def test_check_accepts_unsorted_input():
@@ -149,6 +164,16 @@ def test_sample_csv_deterministic():
     lines = text_a.strip().split("\n")
     assert lines[0] == sn.CSV_HEADER
     assert len(lines) > 100
+
+
+def test_sample_csv_digest():
+    # recorded before e1..e5 were stored per spectrum; the bytes must not move
+    code, text = run("sample", "--grid", "12", "--t", "0", "--t", "0.1",
+                     "--t", "0.35")
+    assert code == 0
+    assert len(text.splitlines()) == 2218
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c4c389dca7581e0af6ae8fd771a78f13032fff251b46f537d1440d9e93e5f3ee")
 
 
 def test_sample_to_file_matches_stdout(tmp_path):

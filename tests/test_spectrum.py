@@ -1,4 +1,5 @@
 """Spectrum containers, elementary symmetric functions, necessary conditions."""
+import contextlib
 import itertools
 import json
 import math
@@ -122,6 +123,54 @@ def test_elem_syms_scaling_homogeneity(vals, alpha):
     for n in range(1, 6):
         assert_ident(scaled[n - 1], alpha ** n * base[n - 1], 1e-12,
                      scale=math.comb(5, n) * m ** n)
+
+
+def _esyms_reference(vals):
+    """The product expansion, in the package's order, recomputed from scratch."""
+    c = poly_from_roots(sorted(vals, reverse=True))
+    return _bits((-c[1], c[2], -c[3], c[4], -c[5]))
+
+
+def _bits(xs):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(x.hex() for x in xs)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(st.one_of(
+    st.tuples(_finite, _finite, _finite, _finite, _finite),
+    # the worked examples, scaled, reach the builders and their gates
+    st.tuples(st.sampled_from([EX1, (1000.0, 370.0, 367.0, -637.0, -750.0)]),
+              st.floats(1e-3, 1e3)).map(lambda p: tuple(p[1] * v for v in p[0])),
+), st.booleans())
+@settings(deadline=None, max_examples=300)
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+def test_stored_elem_syms_bit_identical(vals, read_first):
+    unsorted = sn.Spectrum(vals[::-1])
+    want = _esyms_reference(unsorted.values)
+    s = sn.sort_descending(unsorted)
+    if read_first:
+        assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
+        assert _bits(sn.elem_syms(s).as_tuple()) == want
+    sn.check_trace(unsorted)
+    decision = sn.classify(s)
+    with contextlib.suppress(sn.SniepError, ValueError):
+        sn.build_pattern_a(s)
+    with contextlib.suppress(sn.SniepError, ValueError):
+        sn.build_pattern_b(s, 0.0 if decision.g is None else decision.g)
+    assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
+    assert _bits(sn.elem_syms(s).as_tuple()) == want
+    assert sn.elem_syms(s) is sn.elem_syms(s)
+
+
+def test_stored_elem_syms_leaves_value_semantics():
+    s = sn.SortedSpectrum(EX1)
+    sn.classify(s)
+    fresh = sn.SortedSpectrum(EX1)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert repr(s) == f"SortedSpectrum(values={EX1!r})"
 
 
 def test_scale_requires_positive_factor():
