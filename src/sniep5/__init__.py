@@ -17,6 +17,7 @@ from .classify import (
     Verdict,
     classify,
     classify_trace_zero,
+    realize,
 )
 from .cubic import real_roots
 from .errors import (
@@ -51,7 +52,6 @@ from .pattern_b import (
     PatternBScalars,
     build_pattern_b,
     compute_klm,
-    cubic_real_roots,
     find_g,
     pattern_b_conditions,
     pattern_b_entries,
@@ -124,7 +124,6 @@ __all__ = [
     "classify_trace_zero",
     "compute_klm",
     "compute_uvwr",
-    "cubic_real_roots",
     "decide_perturbed",
     "decision_tag",
     "elem_syms",
@@ -137,6 +136,7 @@ __all__ = [
     "pattern_b_entries",
     "q_poly",
     "real_roots",
+    "realize",
     "sample_region",
     "scale",
     "sort_descending",

@@ -9,6 +9,8 @@ toolbox, not proven unrealizable.
 ``classify_trace_zero`` answers the zero-sum case exactly: with the sum
 zero and lam5 >= -lam1, realizability holds precisely when the cube sum is
 nonnegative and lam2 + lam5 <= 0.
+
+``realize`` builds the matrix behind a pattern certificate.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BoundaryProximityWarning, NotTraceZero
-from .pattern_a import compute_uvwr, pattern_a_conditions
-from .pattern_b import pattern_b_conditions
-from .spectrum import SortedSpectrum, check_mn, check_pf, check_trace, elem_syms
+from .pattern_a import build_pattern_a, compute_uvwr, pattern_a_conditions
+from .pattern_b import build_pattern_b, pattern_b_conditions
+from .spectrum import (
+    SortedSpectrum,
+    SymMatrix5,
+    check_mn,
+    check_pf,
+    check_trace,
+    elem_syms,
+)
 
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
@@ -48,11 +57,6 @@ class Reason(enum.Enum):
     MN_VIOLATED = "mn_violated"
     NEGATED_PERRON_BOUNDARY = "negated_perron_boundary"
     TRACE_ZERO_VIOLATED = "trace_zero_violated"
-
-
-# certificates that come with an explicit matrix from this package; the
-# rest lean on published constructions and stay decision-only
-CONSTRUCTIVE_CERTIFICATES = (Certificate.PATTERN_A, Certificate.PATTERN_B)
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,20 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
     return RealizabilityDecision(Verdict.UNKNOWN, details=det)
 
 
+def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | None:
+    """The matrix behind a pattern certificate; the others are decision-only."""
+    if decision.certificate is Certificate.PATTERN_A:
+        return build_pattern_a(s)
+    if decision.certificate is Certificate.PATTERN_B:
+        return build_pattern_b(s, decision.g)
+    return None
+
+
+def is_trace_zero(s: SortedSpectrum) -> bool:
+    """The sum is zero up to 1e-12 * max|lam_i|."""
+    return abs(elem_syms(s).e1) <= TRACE_ZERO_TOL * max(abs(v) for v in s.values)
+
+
 def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     """Exact decision for zero-sum spectra with lam5 >= -lam1.
 
@@ -171,9 +189,8 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     l1, l2, _, _, l5 = s.values
     if l5 < -l1:
         raise ValueError("trace-zero characterization needs lam5 >= -lam1")
-    e1 = elem_syms(s).e1
-    if abs(e1) > TRACE_ZERO_TOL * max(abs(v) for v in s.values):
-        raise NotTraceZero(f"sum is {e1}, not zero")
+    if not is_trace_zero(s):
+        raise NotTraceZero(f"sum is {elem_syms(s).e1}, not zero")
     det = _details(s)
     cube_sum = sum(v ** 3 for v in s.values)
     if cube_sum >= 0.0 and l2 + l5 <= 0.0:

@@ -17,17 +17,11 @@ import argparse
 import json
 import sys
 
-from .classify import (
-    CONSTRUCTIVE_CERTIFICATES,
-    Certificate,
-    RealizabilityDecision,
-    Verdict,
-    classify,
-)
+from .classify import Certificate, RealizabilityDecision, Verdict, classify, realize
+from .cubic import real_roots
 from .errors import NoConvergence, SniepError
 from .guo import Perturbation, decide_perturbed
-from .pattern_a import build_pattern_a
-from .pattern_b import build_pattern_b, cubic_real_roots, find_g, q_poly
+from .pattern_b import find_g, q_poly
 from .sampler import CSV_HEADER, sample_region
 from .spectrum import SortedSpectrum, SymMatrix5, parse_spectrum, sort_descending
 from .verify import verify_spectrum
@@ -154,22 +148,14 @@ def _print_report_text(report, out) -> None:
           file=out)
 
 
-def _build_from_decision(s, decision: RealizabilityDecision):
-    if decision.certificate is Certificate.PATTERN_A:
-        return build_pattern_a(s)
-    if decision.certificate is Certificate.PATTERN_B:
-        return build_pattern_b(s, decision.g)
-    return None
-
-
 def _cmd_check(args, out) -> int:
     s = sort_descending(parse_spectrum(args.spectrum))
     decision = classify(s)
     payload = decision.to_json_dict()
     code = EXIT_UNDECIDED if decision.verdict is Verdict.UNKNOWN else EXIT_OK
     report = None
-    if args.verify and decision.certificate in CONSTRUCTIVE_CERTIFICATES:
-        matrix = _build_from_decision(s, decision)
+    matrix = realize(s, decision) if args.verify else None
+    if matrix is not None:
         report = verify_spectrum(matrix, s, rel_tol=args.tol)
         payload["verification"] = report.to_json_dict()
         if not report.passed:
@@ -186,10 +172,9 @@ def _cmd_check(args, out) -> int:
 def _cmd_realize(args, out) -> int:
     s = sort_descending(parse_spectrum(args.spectrum))
     decision = classify(s)
-    matrix = None
+    matrix = realize(s, decision)
     report = None
-    if decision.certificate in CONSTRUCTIVE_CERTIFICATES:
-        matrix = _build_from_decision(s, decision)
+    if matrix is not None:
         report = verify_spectrum(matrix, s, rel_tol=args.tol)
     if args.format == "json":
         payload = decision.to_json_dict()
@@ -217,7 +202,7 @@ def _cmd_realize(args, out) -> int:
 def _cmd_qroots(args, out) -> int:
     s = sort_descending(parse_spectrum(args.spectrum))
     q = q_poly(s)
-    roots = cubic_real_roots(q)
+    roots = real_roots(q.c3, q.c2, q.c1, q.c0)
     g = find_g(s)
     if args.format == "json":
         payload = {
@@ -269,17 +254,14 @@ def _cmd_sample(args, out) -> int:
     failures = 0
     for sample in sample_region(args.grid, args.t):
         lines.append(sample.csv_row())
-        if args.verify and sample.verdict is Verdict.REALIZABLE and sample.tag in (
-            Certificate.PATTERN_A.value,
-            Certificate.PATTERN_B.value,
-        ):
+        if args.verify and sample.verdict is Verdict.REALIZABLE:
             s = SortedSpectrum((1.0, sample.lambda2, sample.lambda3,
                                 sample.lambda4, sample.lambda5))
-            if sample.tag == Certificate.PATTERN_A.value:
-                matrix = build_pattern_a(s)
-            else:
-                matrix = build_pattern_b(s, sample.g)
-            if not verify_spectrum(matrix, s, rel_tol=args.tol).passed:
+            decision = RealizabilityDecision(
+                sample.verdict, Certificate(sample.tag), g=sample.g)
+            matrix = realize(s, decision)
+            if matrix is not None and not verify_spectrum(
+                    matrix, s, rel_tol=args.tol).passed:
                 failures += 1
     text = "\n".join(lines) + "\n"
     if args.out:

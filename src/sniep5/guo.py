@@ -11,7 +11,8 @@ perturbations on four closed families, for every size s at once:
 
 Anything else falls back to classifying the perturbed list directly.  The
 closure verdicts certify existence only; an explicit matrix is attached
-exactly when the perturbed list itself passes one of the pattern gates.
+exactly when ``classify`` certifies the perturbed list by one of the two
+patterns.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .classify import (
     Verdict,
     classify,
     classify_trace_zero,
-    _details,
+    is_trace_zero,
+    realize,
 )
-from .classify import TRACE_ZERO_TOL
-from .pattern_a import build_pattern_a, compute_uvwr, pattern_a_conditions
-from .pattern_b import build_pattern_b, pattern_b_conditions
+from .pattern_a import compute_uvwr, pattern_a_conditions
+from .pattern_b import pattern_b_conditions
 from .spectrum import SortedSpectrum, SymMatrix5, elem_syms, sort_descending, Spectrum
 
 
@@ -88,11 +89,6 @@ def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
     return sort_descending(Spectrum(tuple(vals)))
 
 
-def _is_trace_zero(s: SortedSpectrum) -> bool:
-    scale = max(abs(v) for v in s.values)
-    return abs(elem_syms(s).e1) <= TRACE_ZERO_TOL * scale
-
-
 def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
     """Decide realizability of the perturbed spectrum; first rule that fires wins."""
     perturbed = apply_perturbation(s, p)
@@ -102,7 +98,7 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
     if (
         minus
         and s.lam5 >= -s.lam1
-        and _is_trace_zero(s)
+        and is_trace_zero(s)
         and classify_trace_zero(s).verdict is Verdict.REALIZABLE
     ):
         rule = ClosureRule.TRACE_ZERO
@@ -115,21 +111,13 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
         if pattern_b_conditions(s).passed and compute_uvwr(s).r < 0.0:
             rule = ClosureRule.PATTERN_B
 
+    direct = classify(perturbed)
+    matrix = realize(perturbed, direct)
     if rule is None:
-        rule = ClosureRule.DIRECT
-        decision = classify(perturbed)
-    else:
-        decision = RealizabilityDecision(
-            Verdict.REALIZABLE,
-            certificate=Certificate.GUO_CLOSURE,
-            details=_details(perturbed),
-        )
-
-    matrix = None
-    if pattern_a_conditions(perturbed).passed:
-        matrix = build_pattern_a(perturbed)
-    else:
-        report_b = pattern_b_conditions(perturbed)
-        if report_b.passed:
-            matrix = build_pattern_b(perturbed, report_b.g)
+        return PerturbedDecision(direct, ClosureRule.DIRECT, perturbed, matrix)
+    decision = RealizabilityDecision(
+        Verdict.REALIZABLE,
+        certificate=Certificate.GUO_CLOSURE,
+        details=direct.details,
+    )
     return PerturbedDecision(decision, rule, perturbed, matrix)

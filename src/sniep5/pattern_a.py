@@ -1,6 +1,7 @@
 """The five-cycle construction: scalar invariants u, v, w, r and the matrix.
 
-For a descending spectrum sigma the four scalars are
+For a descending spectrum sigma the four scalars, evaluated once and
+stored on it as ``SortedSpectrum.uvwr``, are
 
     u = -e2 - lam2^2 - lam5^2
     v = -(lam3+lam5)(lam4+lam5)(lam2+lam4)(lam2+lam3)(lam1+lam2)(lam1+lam5)
@@ -15,38 +16,22 @@ has sigma as its spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateU, NegativeRadicand, PreconditionViolated
 from .spectrum import (
     ConditionReport,
+    PatternAScalars,
     SortedSpectrum,
     SymMatrix5,
     elem_syms,
 )
 
 
-@dataclass(frozen=True)
-class PatternAScalars:
-    u: float
-    v: float
-    w: float
-    r: float
-
-
 def compute_uvwr(s: SortedSpectrum) -> PatternAScalars:
-    """Evaluate the four scalar invariants of a descending spectrum."""
-    l1, l2, l3, l4, l5 = s.values
-    es = elem_syms(s)
-    u = -es.e2 - l2 * l2 - l5 * l5
-    v = -(
-        (l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5)
-    )
-    w = l2 * l5 * es.e1 - l1 * l3 * l4
-    r = es.e3 + es.e1 * (l2 * l2 + l5 * l5)
-    return PatternAScalars(u, v, w, r)
+    """The four scalar invariants of a descending spectrum, stored on it."""
+    return s.uvwr
 
 
 def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
@@ -68,14 +53,14 @@ def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
     return ConditionReport(checks)
 
 
-def pattern_a_entries(s: SortedSpectrum, scalars: PatternAScalars | None = None) -> np.ndarray:
+def pattern_a_entries(s: SortedSpectrum) -> np.ndarray:
     """Assemble the raw matrix entries without the nonnegativity gate.
 
     Useful for checking the characteristic polynomial on spectra outside
     the validity region; the result is real whenever u > 0 and v >= 0, but
     individual entries may then be negative.
     """
-    sc = scalars if scalars is not None else compute_uvwr(s)
+    sc = compute_uvwr(s)
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
     if sc.u < 0.0 or sc.v < 0.0:
@@ -108,4 +93,4 @@ def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
         )
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")
-    return SymMatrix5(pattern_a_entries(s, sc), provenance="pattern_a")
+    return SymMatrix5(pattern_a_entries(s), provenance="pattern_a")

@@ -69,11 +69,6 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
     )
 
 
-def cubic_real_roots(q: CubicQ) -> tuple[float, ...]:
-    """Distinct real roots of the cubic, ascending."""
-    return cubic.real_roots(q.c3, q.c2, q.c1, q.c0)
-
-
 def _admit(s: SortedSpectrum, x: float) -> float | None:
     """x clamped onto [0, e1/2]; None if it lies past the rounding slack."""
     half = 0.5 * elem_syms(s).e1
@@ -88,7 +83,8 @@ def find_g(s: SortedSpectrum) -> float | None:
     and gets clamped onto the closed interval, so the downstream diagonal
     entries g and e1 - 2g never go negative by round-off alone.
     """
-    roots = cubic_real_roots(q_poly(s))  # ascending, so the last hit is largest
+    q = q_poly(s)
+    roots = cubic.real_roots(q.c3, q.c2, q.c1, q.c0)  # ascending: last hit is largest
     hits = [g for g in (_admit(s, root) for root in roots) if g is not None]
     return hits[-1] if hits else None
 

@@ -3,9 +3,10 @@
 A *spectrum* here is always a list of five real numbers, the candidate
 eigenvalues of a symmetric entrywise-nonnegative 5x5 matrix.  This module
 holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
-:class:`ElemSyms`, :class:`SymMatrix5`, :class:`ConditionReport`), the
-elementary symmetric polynomials, and the three cheap necessary conditions
-every realizable spectrum must satisfy.
+:class:`ElemSyms`, :class:`PatternAScalars`, :class:`SymMatrix5`,
+:class:`ConditionReport`), the elementary symmetric polynomials and the
+five-cycle scalars u/v/w/r, and the three cheap necessary conditions every
+realizable spectrum must satisfy.
 """
 
 from __future__ import annotations
@@ -90,6 +91,19 @@ class SortedSpectrum(Spectrum):
     def lam5(self):
         return self.values[4]
 
+    @cached_property
+    def uvwr(self) -> PatternAScalars:
+        """The five-cycle scalars u, v, w, r, evaluated on first use and stored."""
+        l1, l2, l3, l4, l5 = self.values
+        es = self.elem_syms
+        u = -es.e2 - l2 * l2 - l5 * l5
+        v = -(
+            (l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5)
+        )
+        w = l2 * l5 * es.e1 - l1 * l3 * l4
+        r = es.e3 + es.e1 * (l2 * l2 + l5 * l5)
+        return PatternAScalars(u, v, w, r)
+
 
 @dataclass(frozen=True)
 class ElemSyms:
@@ -103,6 +117,16 @@ class ElemSyms:
 
     def as_tuple(self):
         return (self.e1, self.e2, self.e3, self.e4, self.e5)
+
+
+@dataclass(frozen=True)
+class PatternAScalars:
+    """The scalars u, v, w, r that drive the five-cycle construction."""
+
+    u: float
+    v: float
+    w: float
+    r: float
 
 
 def parse_spectrum(text: str) -> Spectrum:

@@ -100,7 +100,7 @@ def test_01_first_example_five_cycle():
 
 def test_02_first_example_cubic_roots():
     q = sn.q_poly(EX1)
-    roots = sn.cubic_real_roots(q)
+    roots = sn.real_roots(q.c3, q.c2, q.c1, q.c0)
     g = sn.find_g(EX1)
 
     coeffs_ok = (q.c3, q.c2, q.c1, q.c0) == (2.0, 780.0, -169279.0, -5139810.0)
@@ -117,7 +117,7 @@ def test_02_first_example_cubic_roots():
 def test_03_second_example_two_paths():
     sc = sn.compute_uvwr(EX2)
     q = sn.q_poly(EX2)
-    roots = sn.cubic_real_roots(q)
+    roots = sn.real_roots(q.c3, q.c2, q.c1, q.c0)
     g = sn.find_g(EX2)
     mat = sn.build_pattern_b(EX2, g)  # warmup
     t0 = time.perf_counter()

@@ -159,6 +159,37 @@ def test_realizable_patterns_are_constructive():
         assert sn.verify_spectrum(mat, s, rel_tol=1e-8).passed
 
 
+_PATTERN_BUILDS = {
+    Certificate.PATTERN_A: lambda s, d: sn.build_pattern_a(s),
+    Certificate.PATTERN_B: lambda s, d: sn.build_pattern_b(s, d.g),
+}
+
+
+_DECISION_ONLY = [
+    *(sn.RealizabilityDecision(Verdict.REALIZABLE, certificate=c)
+      for c in Certificate if c not in _PATTERN_BUILDS),
+    *(sn.RealizabilityDecision(Verdict.NOT_REALIZABLE, reason=r) for r in Reason),
+    sn.RealizabilityDecision(Verdict.UNKNOWN),
+]
+
+
+@pytest.mark.parametrize("s,decision", [
+    *(pytest.param(EX1, d, id=(d.certificate or d.reason or d.verdict).value)
+      for d in _DECISION_ONLY),
+    pytest.param(EX1, sn.classify(EX1), id="first_example"),
+    pytest.param(EX2, sn.classify(EX2), id="second_example"),
+])
+def test_realize_builds_exactly_the_pattern_certificates(s, decision):
+    mat = sn.realize(s, decision)
+    build = _PATTERN_BUILDS.get(decision.certificate)
+    if build is None:
+        assert mat is None
+    else:
+        # the same builder call, so the same bits, -0.0 included
+        assert mat.entries.tobytes() == build(s, decision).entries.tobytes()
+        assert mat.provenance == decision.certificate.value
+
+
 def test_decision_invariants_enforced():
     with pytest.raises(ValueError):
         sn.RealizabilityDecision(Verdict.REALIZABLE)

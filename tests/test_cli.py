@@ -176,6 +176,29 @@ def test_sample_csv_digest():
         "c4c389dca7581e0af6ae8fd771a78f13032fff251b46f537d1440d9e93e5f3ee")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("realize", "--spectrum", EX1),
+     "0724d3954436ca10cda9e111763f374b4ea952c033552905ba9e418682de6d71"),
+    (("realize", "--spectrum", EX1, "--format", "json"),
+     "61142e50b99ca9a13c891c69a54c04dd76438ebdd029a19743e5c92d144cefe6"),
+    (("realize", "--spectrum", EX2),
+     "43b76019403a5f2c7b95f7be1ab0d8c066e7da68bae97d3185cf80b3f2f314ad"),
+    (("realize", "--spectrum", EX2, "--format", "json"),
+     "16e1347321ac899bd993ed44c4e8f7dab8d9e864f5e539b173e6f60b9cb3ac7c"),
+    (("perturb", "--spectrum", EX1, "--i", "2", "--sign", "minus", "--s", "10"),
+     "38f435bd83326f30fc4fd2a2b19c7fed0619f82e921e7648bf23780cbd8f9262"),
+    (("perturb", "--spectrum", EX1, "--i", "2", "--sign", "minus", "--s", "10",
+      "--format", "json"),
+     "b412bdb2bf575562ebf23f824519036cf1e321eb7404902d3bb22ebb39bfa648"),
+], ids=["realize-ex1-text", "realize-ex1-json", "realize-ex2-text",
+        "realize-ex2-json", "perturb-ex1-text", "perturb-ex1-json"])
+def test_readme_example_digest(argv, digest):
+    # recorded before every certificate was built through realize
+    code, text = run(*argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sample_to_file_matches_stdout(tmp_path):
     _, text = run("sample", "--grid", "6", "--t", "0.35")
     path = tmp_path / "sweep.csv"

@@ -159,9 +159,3 @@ def test_entries_characteristic_polynomial_matches_targets():
             assert_ident(coeffs[k], (-1.0) ** k * es[k - 1], 1e-8,
                          scale=math.comb(5, k) * m ** k)
         done += 1
-
-
-def test_entries_reuse_precomputed_scalars():
-    sc = sn.compute_uvwr(EX1)
-    npt.assert_array_equal(sn.pattern_a_entries(EX1, scalars=sc),
-                           sn.pattern_a_entries(EX1))

@@ -36,9 +36,10 @@ def test_q_poly_evaluates():
 
 
 def test_cubic_real_roots_golden():
-    npt.assert_allclose(sn.cubic_real_roots(sn.q_poly(EX1)),
+    q1, q2 = sn.q_poly(EX1), sn.q_poly(EX2)
+    npt.assert_allclose(sn.real_roots(q1.c3, q1.c2, q1.c1, q1.c0),
                         [-538.35237219, -27.19321311, 175.5455853], atol=1e-5)
-    npt.assert_allclose(sn.cubic_real_roots(sn.q_poly(EX2)),
+    npt.assert_allclose(sn.real_roots(q2.c3, q2.c2, q2.c1, q2.c0),
                         [-552.5556695, -4.683524431, 174.2391939], atol=1e-5)
 
 
@@ -65,7 +66,8 @@ def test_find_g_picks_largest_admissible_root():
     rng = np.random.default_rng(73)
     for s in sample_until(rng, _has_root, 200, **B_DRAW):
         half = sn.elem_syms(s).e1 / 2.0
-        inner = [r for r in sn.cubic_real_roots(sn.q_poly(s))
+        q = sn.q_poly(s)
+        inner = [r for r in sn.real_roots(q.c3, q.c2, q.c1, q.c0)
                  if 1e-9 * max(1.0, half) <= r <= half * (1.0 - 1e-9)]
         if inner:
             npt.assert_allclose(sn.find_g(s), max(inner),

@@ -131,6 +131,23 @@ def _esyms_reference(vals):
     return _bits((-c[1], c[2], -c[3], c[4], -c[5]))
 
 
+def _uvwr_reference(vals):
+    """u, v, w, r written out from the reference e1..e3, in the package's order."""
+    l1, l2, l3, l4, l5 = sorted(vals, reverse=True)
+    c = poly_from_roots([l1, l2, l3, l4, l5])
+    e1, e2, e3 = -c[1], c[2], -c[3]
+    u = -e2 - l2 * l2 - l5 * l5
+    v = -((l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5))
+    w = l2 * l5 * e1 - l1 * l3 * l4
+    r = e3 + e1 * (l2 * l2 + l5 * l5)
+    return _bits((u, v, w, r))
+
+
+def _uvwr_bits(s):
+    sc = sn.compute_uvwr(s)
+    return _bits((sc.u, sc.v, sc.w, sc.r))
+
+
 def _bits(xs):
     # float.hex tells -0.0 from 0.0, which == does not
     return tuple(x.hex() for x in xs)
@@ -150,10 +167,12 @@ _finite = st.floats(-1e3, 1e3, allow_nan=False)
 def test_stored_elem_syms_bit_identical(vals, read_first):
     unsorted = sn.Spectrum(vals[::-1])
     want = _esyms_reference(unsorted.values)
+    want_uvwr = _uvwr_reference(unsorted.values)
     s = sn.sort_descending(unsorted)
     if read_first:
         assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
         assert _bits(sn.elem_syms(s).as_tuple()) == want
+        assert _uvwr_bits(s) == want_uvwr
     sn.check_trace(unsorted)
     decision = sn.classify(s)
     with contextlib.suppress(sn.SniepError, ValueError):
@@ -163,6 +182,8 @@ def test_stored_elem_syms_bit_identical(vals, read_first):
     assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
     assert _bits(sn.elem_syms(s).as_tuple()) == want
     assert sn.elem_syms(s) is sn.elem_syms(s)
+    assert _uvwr_bits(s) == want_uvwr
+    assert sn.compute_uvwr(s) is sn.compute_uvwr(s)
 
 
 def test_stored_elem_syms_leaves_value_semantics():
