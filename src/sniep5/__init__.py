@@ -45,7 +45,6 @@ from .pattern_a import (
     build_pattern_a,
     compute_uvwr,
     pattern_a_conditions,
-    pattern_a_entries,
 )
 from .pattern_b import (
     CubicQ,
@@ -54,7 +53,6 @@ from .pattern_b import (
     compute_klm,
     find_g,
     pattern_b_conditions,
-    pattern_b_entries,
     q_poly,
 )
 from .sampler import CSV_HEADER, RegionSample, decision_tag, sample_region
@@ -131,9 +129,7 @@ __all__ = [
     "find_g",
     "parse_spectrum",
     "pattern_a_conditions",
-    "pattern_a_entries",
     "pattern_b_conditions",
-    "pattern_b_entries",
     "q_poly",
     "real_roots",
     "realize",

@@ -148,50 +148,36 @@ def _print_report_text(report, out) -> None:
           file=out)
 
 
-def _cmd_check(args, out) -> int:
+def _decide(args, out, show_matrix: bool) -> int:
+    """``check`` and ``realize``: classify, build and verify, print.
+
+    ``realize`` (``show_matrix``) always builds and also shows the matrix,
+    or a note for a decision-only certificate; ``check`` builds only with
+    ``--verify`` and shows the verification alone.
+    """
     s = sort_descending(parse_spectrum(args.spectrum))
     decision = classify(s)
-    payload = decision.to_json_dict()
-    code = EXIT_UNDECIDED if decision.verdict is Verdict.UNKNOWN else EXIT_OK
-    report = None
-    matrix = realize(s, decision) if args.verify else None
-    if matrix is not None:
-        report = verify_spectrum(matrix, s, rel_tol=args.tol)
-        payload["verification"] = report.to_json_dict()
-        if not report.passed:
-            code = EXIT_VERIFY_FAILED
+    matrix = realize(s, decision) if show_matrix or args.verify else None
+    report = None if matrix is None else verify_spectrum(matrix, s, rel_tol=args.tol)
+    note = EXTERNAL_NOTES.get(decision.certificate) if show_matrix else None
     if args.format == "json":
+        payload = decision.to_json_dict()
+        if report is not None:
+            if show_matrix:
+                payload["matrix"] = json.loads(matrix.format_json())
+            payload["verification"] = report.to_json_dict()
+        elif note is not None:
+            payload["note"] = note
         print(json.dumps(payload, indent=2), file=out)
     else:
         _print_decision_text(decision, out)
         if report is not None:
+            if show_matrix:
+                print("matrix:", file=out)
+                print(matrix.format_text(), file=out)
             _print_report_text(report, out)
-    return code
-
-
-def _cmd_realize(args, out) -> int:
-    s = sort_descending(parse_spectrum(args.spectrum))
-    decision = classify(s)
-    matrix = realize(s, decision)
-    report = None
-    if matrix is not None:
-        report = verify_spectrum(matrix, s, rel_tol=args.tol)
-    if args.format == "json":
-        payload = decision.to_json_dict()
-        if matrix is not None:
-            payload["matrix"] = json.loads(matrix.format_json())
-            payload["verification"] = report.to_json_dict()
-        elif decision.certificate is not None:
-            payload["note"] = EXTERNAL_NOTES[decision.certificate]
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        _print_decision_text(decision, out)
-        if matrix is not None:
-            print("matrix:", file=out)
-            print(matrix.format_text(), file=out)
-            _print_report_text(report, out)
-        elif decision.certificate is not None:
-            print(f"note: {EXTERNAL_NOTES[decision.certificate]}", file=out)
+        elif note is not None:
+            print(f"note: {note}", file=out)
     if decision.verdict is Verdict.UNKNOWN:
         return EXIT_UNDECIDED
     if report is not None and not report.passed:
@@ -289,8 +275,8 @@ def _cmd_verify(args, out) -> int:
 
 
 _HANDLERS = {
-    "check": _cmd_check,
-    "realize": _cmd_realize,
+    "check": lambda args, out: _decide(args, out, show_matrix=False),
+    "realize": lambda args, out: _decide(args, out, show_matrix=True),
     "qroots": _cmd_qroots,
     "perturb": _cmd_perturb,
     "sample": _cmd_sample,

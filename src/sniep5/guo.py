@@ -5,14 +5,15 @@ re-sorts.  ``decide_perturbed`` exploits that realizability survives such
 perturbations on four closed families, for every size s at once:
 
 1. zero-sum realizable spectra, minus sign;
-2. spectra realizable with lam3 <= e1, either sign;
-3. spectra passing the five-cycle gate, minus sign;
-4. spectra passing the two-paths gate with r < 0, minus sign.
+2. spectra ``classify`` certifies as ``suleimanova``, ``two_positive`` or
+   ``direct_sum``, either sign;
+3. spectra ``classify`` certifies as ``pattern_a``, minus sign;
+4. spectra ``classify`` certifies as ``pattern_b``, minus sign.
 
-Anything else falls back to classifying the perturbed list directly.  The
-closure verdicts certify existence only; an explicit matrix is attached
-exactly when ``classify`` certifies the perturbed list by one of the two
-patterns.
+Families 2-4 are read from one ``classify`` of the original list.  Anything
+else falls back to classifying the perturbed list directly.  The closure
+verdicts certify existence only; an explicit matrix is attached exactly
+when ``classify`` certifies the perturbed list by one of the two patterns.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .classify import (
     is_trace_zero,
     realize,
 )
-from .pattern_a import compute_uvwr, pattern_a_conditions
-from .pattern_b import pattern_b_conditions
-from .spectrum import SortedSpectrum, SymMatrix5, elem_syms, sort_descending, Spectrum
+from .spectrum import SortedSpectrum, SymMatrix5, sort_descending, Spectrum
 
 
 class Sign(enum.Enum):
@@ -66,6 +65,17 @@ class ClosureRule(enum.Enum):
     DIRECT = "direct"
 
 
+# the closure rule behind each certificate of the original list; only the
+# known-region closure also holds for plus moves
+_CLOSURES = {
+    Certificate.SULEIMANOVA: ClosureRule.KNOWN_REGION,
+    Certificate.TWO_POSITIVE: ClosureRule.KNOWN_REGION,
+    Certificate.DIRECT_SUM: ClosureRule.KNOWN_REGION,
+    Certificate.PATTERN_A: ClosureRule.PATTERN_A,
+    Certificate.PATTERN_B: ClosureRule.PATTERN_B,
+}
+
+
 @dataclass(frozen=True)
 class PerturbedDecision:
     decision: RealizabilityDecision
@@ -94,7 +104,6 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
     perturbed = apply_perturbation(s, p)
     minus = p.sign is Sign.MINUS
 
-    rule = None
     if (
         minus
         and s.lam5 >= -s.lam1
@@ -102,14 +111,10 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
         and classify_trace_zero(s).verdict is Verdict.REALIZABLE
     ):
         rule = ClosureRule.TRACE_ZERO
-    if rule is None and s.lam3 <= elem_syms(s).e1:
-        if classify(s).verdict is Verdict.REALIZABLE:
-            rule = ClosureRule.KNOWN_REGION
-    if rule is None and minus and pattern_a_conditions(s).passed:
-        rule = ClosureRule.PATTERN_A
-    if rule is None and minus:
-        if pattern_b_conditions(s).passed and compute_uvwr(s).r < 0.0:
-            rule = ClosureRule.PATTERN_B
+    else:
+        rule = _CLOSURES.get(classify(s).certificate)
+        if not minus and rule is not ClosureRule.KNOWN_REGION:
+            rule = None
 
     direct = classify(perturbed)
     matrix = realize(perturbed, direct)

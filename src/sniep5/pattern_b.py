@@ -70,10 +70,15 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
 
 
 def _admit(s: SortedSpectrum, x: float) -> float | None:
-    """x clamped onto [0, e1/2]; None if it lies past the rounding slack."""
+    """x clamped onto [0, e1/2]; None if it lies past the rounding slack.
+
+    The interval is empty when e1 < 0, and then nothing is admitted.
+    """
     half = 0.5 * elem_syms(s).e1
     slack = RANGE_SLACK * max(1.0, abs(half))
-    return min(max(x, 0.0), half) if -slack <= x <= half + slack else None
+    if -slack <= x <= half + slack and half >= 0.0:
+        return min(max(x, 0.0), half)
+    return None
 
 
 def find_g(s: SortedSpectrum) -> float | None:
@@ -99,6 +104,17 @@ def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:
     return PatternBScalars(k, l, m, g)
 
 
+def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
+    """The gate's checks on the spectrum itself; the builder reuses them."""
+    l1, _, l3, _, l5 = s.values
+    e1 = elem_syms(s).e1
+    return (
+        ("min_at_least_negated_perron", l5 >= -l1),
+        ("trace_nonnegative", e1 >= 0.0),
+        ("third_exceeds_trace", l3 > e1),
+    )
+
+
 def pattern_b_conditions(s: SortedSpectrum) -> ConditionReport:
     """Gate for the two-paths construction.
 
@@ -106,32 +122,25 @@ def pattern_b_conditions(s: SortedSpectrum) -> ConditionReport:
     matrix assembly is well defined and nonnegative.  The report carries
     the selected g whenever one exists.
     """
-    l1, _, l3, _, l5 = s.values
-    e1 = elem_syms(s).e1
     g = find_g(s)
-    checks = (
-        ("min_at_least_negated_perron", l5 >= -l1),
-        ("trace_nonnegative", e1 >= 0.0),
-        ("third_exceeds_trace", l3 > e1),
-        ("root_in_range", g is not None),
-    )
+    checks = (*_region_checks(s), ("root_in_range", g is not None))
     return ConditionReport(checks, g=g)
 
 
-def pattern_b_entries(
-    s: SortedSpectrum, g: float, scalars: PatternBScalars | None = None
-) -> np.ndarray:
+def pattern_b_entries(s: SortedSpectrum, g: float) -> np.ndarray:
     """Assemble the raw matrix entries without the gate.
 
-    Real only when l >= 0 and m >= 0; entries may still be negative for g
-    outside the validity region.
+    Real only when l >= 0 and m >= 0, after a slightly negative m is
+    clamped to 0; entries may still be negative for g outside the validity
+    region.
     """
-    sc = scalars if scalars is not None else compute_klm(s, g)
-    if sc.l < 0.0 or sc.m < 0.0:
-        raise NegativeRadicand(f"complex entries at l={sc.l}, m={sc.m}")
+    sc = compute_klm(s, g)
     e1 = elem_syms(s).e1
+    m = 0.0 if -M_CLAMP_TOL * max(1.0, e1 * e1) <= sc.m < 0.0 else sc.m
+    if sc.l < 0.0 or m < 0.0:
+        raise NegativeRadicand(f"complex entries at l={sc.l}, m={m}")
     sl = math.sqrt(sc.l)
-    sm = math.sqrt(sc.m)
+    sm = math.sqrt(m)
     mtx = np.zeros((5, 5))
     mtx[0, 0] = g
     mtx[2, 2] = e1 - 2.0 * g
@@ -146,28 +155,20 @@ def pattern_b_entries(
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
-    l1, _, l3, _, l5 = s.values
-    e1 = elem_syms(s).e1
     q = q_poly(s)
     admitted = _admit(s, g)
     checks = (
         ("g_is_a_root", abs(q(g)) <= q.residual_bound(g)),
         ("g_in_range", admitted is not None),
-        ("min_at_least_negated_perron", l5 >= -l1),
-        ("trace_nonnegative", e1 >= 0.0),
-        ("third_exceeds_trace", l3 > e1),
+        *_region_checks(s),
     )
     report = ConditionReport(checks, g=g)
     if not report.passed:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(report.failed)}", report.failed
         )
-    g = admitted
-    sc = compute_klm(s, g)
-    if sc.m < 0.0 and sc.m >= -M_CLAMP_TOL * max(1.0, e1 * e1):
-        sc = PatternBScalars(sc.k, sc.l, 0.0, g)
-    if sc.l < 0.0 or sc.m < 0.0 or not sc.k > 0.0:
-        raise NegativeRadicand(
-            f"entry scalars out of range at g={g}: k={sc.k}, l={sc.l}, m={sc.m}"
-        )
-    return SymMatrix5(pattern_b_entries(s, g, sc), provenance="pattern_b")
+    mtx = pattern_b_entries(s, admitted)
+    k = mtx[1, 4]
+    if not k > 0.0:
+        raise NegativeRadicand(f"entry scalar out of range at g={admitted}: k={k}")
+    return SymMatrix5(mtx, provenance="pattern_b")

@@ -123,6 +123,17 @@ def test_qroots_text_marks_selected_root():
     assert "g: none in range" in text1
 
 
+def test_qroots_no_g_when_trace_a_hair_below_zero():
+    # e1 is about -1e-12, so [0, e1/2] is empty; e1/2 is not a root
+    code, text = run("qroots", "--spectrum",
+                     "0.8577167397489156,0.6715302078397394,"
+                     "-0.13446586418989326,-0.4514760364437743,"
+                     "-0.9433050469559874")
+    assert code == 0
+    assert text.endswith("g: none in range\n")
+    assert "clamped" not in text
+
+
 def test_qroots_json_golden():
     code, text = run("qroots", "--spectrum", EX1, "--format", "json")
     assert code == 0
@@ -176,26 +187,50 @@ def test_sample_csv_digest():
         "c4c389dca7581e0af6ae8fd771a78f13032fff251b46f537d1440d9e93e5f3ee")
 
 
-@pytest.mark.parametrize("argv,digest", [
-    (("realize", "--spectrum", EX1),
+DIRECT_SUM = "1,0.9,0.3,-0.5,-0.6"
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", [
+    (("realize", "--spectrum", EX1), 0,
      "0724d3954436ca10cda9e111763f374b4ea952c033552905ba9e418682de6d71"),
-    (("realize", "--spectrum", EX1, "--format", "json"),
+    (("realize", "--spectrum", EX1, "--format", "json"), 0,
      "61142e50b99ca9a13c891c69a54c04dd76438ebdd029a19743e5c92d144cefe6"),
-    (("realize", "--spectrum", EX2),
+    (("realize", "--spectrum", EX2), 0,
      "43b76019403a5f2c7b95f7be1ab0d8c066e7da68bae97d3185cf80b3f2f314ad"),
-    (("realize", "--spectrum", EX2, "--format", "json"),
+    (("realize", "--spectrum", EX2, "--format", "json"), 0,
      "16e1347321ac899bd993ed44c4e8f7dab8d9e864f5e539b173e6f60b9cb3ac7c"),
     (("perturb", "--spectrum", EX1, "--i", "2", "--sign", "minus", "--s", "10"),
-     "38f435bd83326f30fc4fd2a2b19c7fed0619f82e921e7648bf23780cbd8f9262"),
+     0, "38f435bd83326f30fc4fd2a2b19c7fed0619f82e921e7648bf23780cbd8f9262"),
     (("perturb", "--spectrum", EX1, "--i", "2", "--sign", "minus", "--s", "10",
-      "--format", "json"),
+      "--format", "json"), 0,
      "b412bdb2bf575562ebf23f824519036cf1e321eb7404902d3bb22ebb39bfa648"),
+    (("check", "--spectrum", EX1, "--verify"), 0,
+     "8b3fdb680f12d1e3f2fb8ada81e3511a0021879503f4cfc68f0201b99a39781b"),
+    (("check", "--spectrum", EX1, "--verify", "--format", "json"), 0,
+     "790ca705ee152ba34b135493d73b0239c13692b070d49624d7f33ffd30c04b03"),
+    (("check", "--spectrum", EX2, "--verify"), 0,
+     "8746d69f6feb711b30d556ba2542dc7c9b85bbe3d5426d4e5ef9cfa937848e1e"),
+    (("check", "--spectrum", EX2, "--verify", "--format", "json"), 0,
+     "52cb8015a8b9fd9072060a8e436f2de9d8d968d3703e591ec203f70a08a3bea3"),
+    (("realize", "--spectrum", DIRECT_SUM), 0,
+     "99b23f55cc552c1dc2f46930ecb569cda607c3de7fd7d4887609d0c41c303dc8"),
+    (("realize", "--spectrum", DIRECT_SUM, "--format", "json"), 0,
+     "ef9faaa705a543aeb843a83f1c7f56c674b297fb1930c60f9c25d57a0edc1277"),
+    (("check", "--spectrum", UNKNOWN), 1,
+     "ebd4a2f245c372298fe78d845335865be97271db2c7747bffa9fcadd7aade6da"),
+    (("realize", "--spectrum", UNKNOWN), 1,
+     "ebd4a2f245c372298fe78d845335865be97271db2c7747bffa9fcadd7aade6da"),
 ], ids=["realize-ex1-text", "realize-ex1-json", "realize-ex2-text",
-        "realize-ex2-json", "perturb-ex1-text", "perturb-ex1-json"])
-def test_readme_example_digest(argv, digest):
-    # recorded before every certificate was built through realize
+        "realize-ex2-json", "perturb-ex1-text", "perturb-ex1-json",
+        "check-verify-ex1-text", "check-verify-ex1-json",
+        "check-verify-ex2-text", "check-verify-ex2-json",
+        "realize-note-text", "realize-note-json",
+        "check-unknown-text", "realize-unknown-text"])
+def test_readme_example_digest(argv, exit_code, digest):
+    # recorded before every certificate was built through realize; the
+    # check/realize cases before the two commands shared one handler
     code, text = run(*argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -4,7 +4,8 @@ import numpy.testing as npt
 import pytest
 
 import sniep5 as sn
-from sniep5 import Certificate, ClosureRule, Sign, Verdict
+from sniep5 import Certificate, ClosureRule, Reason, Sign, Verdict
+from sniep5.classify import is_trace_zero
 from support import closure_size, sample_trace_zero_realizable, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -139,3 +140,92 @@ def test_small_minus_keeps_closure_decision_realizable():
             d = sn.decide_perturbed(s, sn.Perturbation(i=i, sign="minus", s=1e-9))
             assert d.rule is ClosureRule.TRACE_ZERO
             assert d.decision.verdict is Verdict.REALIZABLE
+
+
+def _gate_rule(s, sign):
+    """The closure rule picked from the pattern gates, as it was before the
+    rule was read from one classify of the original list."""
+    minus = sign is Sign.MINUS
+    if (minus and s.lam5 >= -s.lam1 and is_trace_zero(s)
+            and sn.classify_trace_zero(s).verdict is Verdict.REALIZABLE):
+        return ClosureRule.TRACE_ZERO
+    if (s.lam3 <= sn.elem_syms(s).e1
+            and sn.classify(s).verdict is Verdict.REALIZABLE):
+        return ClosureRule.KNOWN_REGION
+    if minus and sn.pattern_a_conditions(s).passed:
+        return ClosureRule.PATTERN_A
+    if (minus and sn.pattern_b_conditions(s).passed
+            and sn.compute_uvwr(s).r < 0.0):
+        return ClosureRule.PATTERN_B
+    return ClosureRule.DIRECT
+
+
+def _typed(rng):
+    text = ",".join(f"{x:.4f}" for x in rng.uniform(-1.0, 1.0, 5))
+    return sn.sort_descending(sn.parse_spectrum(text))
+
+
+def _typed_zero_sum(rng):
+    while True:
+        cents = [int(c) for c in rng.integers(-100, 101, 4)]
+        if -100 <= -sum(cents) <= 100:
+            break
+    text = ",".join(f"{c / 100:.2f}" for c in cents + [-sum(cents)])
+    return sn.sort_descending(sn.parse_spectrum(text))
+
+
+def _corner_b(rng):
+    """A point of suite 05's box with lam2 near the trace plane and
+    lam2 + lam3 + lam4 near its lower end, where pattern_b certificates sit."""
+    while True:
+        t = rng.uniform(0.15, 0.38)
+        x = t + (1.0 - t) * (0.8 * rng.random()) ** 5
+        lo = t + (x - 1.0) / 2.0
+        d = lo + (t - lo) * 0.3 * rng.random()
+        ymax = min(x, -x + 2.0 * d + 1.0 - t)
+        if ymax <= t:
+            continue
+        y = ymax - (ymax - t) * 0.3 * rng.random()
+        vals = (1.0, x, y, d - x - y, t - d - 1.0)
+        if vals[1] >= vals[2] >= vals[3] >= vals[4] > -1.0:
+            return sn.SortedSpectrum(vals)
+
+
+def _aimed(rng):
+    """Suite 05's box on its lam5 = -lam1 face, or within 1e-13 of it."""
+    while True:
+        t = rng.uniform(0.15, 0.45)
+        x = t + (1.0 - t) * rng.random() ** 5
+        ymax = min(x, 1.0 + t - x)
+        if ymax <= t:
+            continue
+        y = ymax - (ymax - t) * 0.3 * rng.random()
+        off = 0.0 if rng.random() < 0.5 else rng.uniform(-1e-13, 1e-13)
+        vals = (1.0, x, y, t - x - y, -1.0 + off)
+        if vals[1] >= vals[2] >= vals[3] >= vals[4]:
+            return sn.SortedSpectrum(vals)
+
+
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+def test_closure_rule_matches_gate_oracle():
+    rng = np.random.default_rng(151)
+    seen = set()
+    on_face = 0
+    for draw in (_typed, _typed_zero_sum, _corner_b, _aimed):
+        for _ in range(2000):
+            s = draw(rng)
+            for sign in (Sign.PLUS, Sign.MINUS):
+                p = sn.Perturbation(i=int(rng.integers(2, 6)), sign=sign,
+                                    s=float(rng.uniform(0.001, 0.5)))
+                rule = sn.decide_perturbed(s, p).rule
+                expected = _gate_rule(s, sign)
+                if expected is ClosureRule.PATTERN_B and s.lam5 == -s.lam1:
+                    # the two-paths gate admits lam5 = -lam1, where classify
+                    # proves the original unrealizable, so no closure holds
+                    assert sn.classify(s).reason is Reason.NEGATED_PERRON_BOUNDARY
+                    expected = ClosureRule.DIRECT
+                    on_face += 1
+                assert rule is expected, (s.values, sign)
+                seen.add(rule)
+    assert seen == set(ClosureRule)
+    assert on_face > 0

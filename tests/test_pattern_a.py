@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import sniep5 as sn
+from sniep5.pattern_a import pattern_a_entries
 from support import assert_ident, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -94,7 +95,7 @@ def test_build_degenerate_u():
     with pytest.raises(sn.DegenerateU):
         sn.build_pattern_a(s)
     with pytest.raises(sn.DegenerateU):
-        sn.pattern_a_entries(s)
+        pattern_a_entries(s)
 
 
 def test_build_rejects_failed_gate():
@@ -149,7 +150,7 @@ def test_entries_characteristic_polynomial_matches_targets():
         vals = tuple(sorted(rng.uniform(-3, 3, 5), reverse=True))
         s = sn.SortedSpectrum(vals)
         try:
-            entries = sn.pattern_a_entries(s)
+            entries = pattern_a_entries(s)
         except (sn.DegenerateU, sn.NegativeRadicand):
             continue
         coeffs = sn.char_poly_coeffs(entries)

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import sniep5 as sn
+from sniep5.pattern_b import M_CLAMP_TOL, pattern_b_entries
 from support import assert_ident, draw_box_point, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -14,6 +15,14 @@ EX2_G = 174.23919393152335
 
 # region parameters with a decent hit rate for an admissible root
 B_DRAW = dict(t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3)
+
+# e1 is about -1e-12: within the rounding slack of 0, yet [0, e1/2] is empty
+E1_HAIR_BELOW_ZERO = sn.sort_descending(sn.parse_spectrum(
+    "0.8577167397489156,0.6715302078397394,-0.13446586418989326,"
+    "-0.4514760364437743,-0.9433050469559874"))
+
+REGION_CHECKS = ("min_at_least_negated_perron", "trace_nonnegative",
+                 "third_exceeds_trace")
 
 
 def _has_root(s):
@@ -53,6 +62,15 @@ def test_find_g_golden():
 def test_find_g_zero_spectrum():
     s = sn.SortedSpectrum((0.0, 0.0, 0.0, 0.0, 0.0))
     assert sn.find_g(s) == 0.0
+
+
+def test_find_g_none_when_trace_a_hair_below_zero():
+    s = E1_HAIR_BELOW_ZERO
+    assert -4e-12 < sn.elem_syms(s).e1 < 0.0
+    assert sn.find_g(s) is None
+    with pytest.raises(sn.PreconditionViolated) as exc:
+        sn.build_pattern_b(s, -4.999889391399392e-13)
+    assert "g_in_range" in exc.value.failed
 
 
 def test_find_g_stays_in_range():
@@ -134,7 +152,32 @@ def test_build_rejects_non_root():
 def test_entries_negative_radicand():
     # far above lam3 the first radicand goes negative
     with pytest.raises(sn.NegativeRadicand):
-        sn.pattern_b_entries(EX2, 500.0)
+        pattern_b_entries(EX2, 500.0)
+
+
+def test_entries_clamp_slightly_negative_m():
+    # at this g the second radicand is about -3e-11: round-off, clamped to 0
+    s = sn.sort_descending(sn.Spectrum((-0.0005149, 0.0009764000000000001,
+                                        0.0009746, -0.0006202, 0.0009056)))
+    g = 0.00036991160653442257
+    assert -M_CLAMP_TOL < sn.compute_klm(s, g).m < 0.0
+    b = pattern_b_entries(s, g)
+    assert b[0, 2] == b[2, 3] == 0.0
+    assert b[0, 1] == math.sqrt(sn.compute_klm(s, g).l)
+
+
+@pytest.mark.parametrize("check,vals", [
+    ("min_at_least_negated_perron", (1.0, 0.6, 0.5, -0.55, -1.1)),
+    ("trace_nonnegative", (1.0, 0.5, 0.2, -0.9, -1.0)),
+    ("third_exceeds_trace", (1.0, 0.9, 0.3, -0.5, -0.6)),
+])
+def test_gate_and_builder_name_the_same_region_check(check, vals):
+    s = sn.SortedSpectrum(vals)
+    gate = set(sn.pattern_b_conditions(s).failed) & set(REGION_CHECKS)
+    with pytest.raises(sn.PreconditionViolated) as exc:
+        sn.build_pattern_b(s, 0.0)
+    built = set(exc.value.failed) & set(REGION_CHECKS)
+    assert gate == built == {check}
 
 
 def test_m_radicand_discriminant_dominates():
