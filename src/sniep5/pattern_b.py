@@ -109,7 +109,7 @@ def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
     l1, _, l3, _, l5 = s.values
     e1 = elem_syms(s).e1
     return (
-        ("min_at_least_negated_perron", l5 >= -l1),
+        ("min_above_negated_perron", l5 > -l1),
         ("trace_nonnegative", e1 >= 0.0),
         ("third_exceeds_trace", l3 > e1),
     )

@@ -232,6 +232,9 @@ class SymMatrix5:
     ``provenance`` is ``"pattern_a"`` or ``"pattern_b"`` for matrices built
     by the two constructors in this package (those are guaranteed entrywise
     nonnegative) and ``"external"`` for anything read from outside.
+
+    ``entries`` is a private read-only copy, so ``sym_eigenvalues`` can store
+    its result on the matrix without it ever going stale.
     """
 
     entries: np.ndarray

@@ -5,7 +5,9 @@ characteristic polynomial through the trace recurrence on matrix powers,
 and eigenvalues through a cyclic Jacobi iteration.  ``verify_spectrum``
 compares Jacobi eigenvalues against a target spectrum; ``entry_bound_check``
 confirms the entries of a symmetric nonnegative matrix stay inside
-[0, spectral radius].
+[0, spectral radius].  A :class:`SymMatrix5` stores its Jacobi eigenvalues
+on first use, so both checks on one matrix share a single Jacobi run and
+read the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ ENTRY_SLACK = 1e-12
 
 def _as_array(m) -> np.ndarray:
     if isinstance(m, SymMatrix5):
-        return np.array(m.entries)
+        return m.entries
     return np.array(m, dtype=float)
 
 
@@ -50,61 +52,83 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
     return tuple(coeffs)
 
 
+# the ten row-cyclic rotations (p, q) with the three rows each one also mixes
+_ROTATIONS = tuple(
+    (p, q, tuple(i for i in range(5) if i != p and i != q))
+    for p in range(4)
+    for q in range(p + 1, 5)
+)
+
+
+def _jacobi(a: list[list[float]], max_sweeps: int) -> SortedSpectrum:
+    """Cyclic Jacobi on the rows ``a``, which it overwrites."""
+    sqrt = math.sqrt
+    a0, a1, a2, a3, a4 = a
+    fro = sqrt(sum(x * x for row in a for x in row))
+    thresh = OFF_NORM_TOL * (1.0 + fro)
+    for sweep in range(max_sweeps + 1):
+        off = (
+            a0[1] * a0[1] + a0[2] * a0[2] + a0[3] * a0[3] + a0[4] * a0[4]
+            + a1[2] * a1[2] + a1[3] * a1[3] + a1[4] * a1[4]
+            + a2[3] * a2[3] + a2[4] * a2[4]
+            + a3[4] * a3[4]
+        )
+        if sqrt(2.0 * off) <= thresh:
+            diag = (a0[0], a1[1], a2[2], a3[3], a4[4])
+            return SortedSpectrum(tuple(sorted(diag, reverse=True)))
+        if sweep == max_sweeps:
+            raise NoConvergence(
+                f"off-diagonal norm {sqrt(2.0 * off):.3e} above "
+                f"{thresh:.3e} after {max_sweeps} sweeps"
+            )
+        for p, q, others in _ROTATIONS:
+            ap = a[p]
+            apq = ap[q]
+            if apq == 0.0:
+                continue
+            aq = a[q]
+            app = ap[p]
+            aqq = aq[q]
+            theta = 0.5 * (aqq - app) / apq
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            ap[p] = app - t * apq
+            aq[q] = aqq + t * apq
+            ap[q] = 0.0
+            aq[p] = 0.0
+            for i in others:
+                ai = a[i]
+                aip = ai[p]
+                aiq = ai[q]
+                v1 = c * aip - s * aiq
+                v2 = s * aip + c * aiq
+                ai[p] = v1
+                ap[i] = v1
+                ai[q] = v2
+                aq[i] = v2
+    raise AssertionError("unreachable")
+
+
 def sym_eigenvalues(m, max_sweeps: int = MAX_SWEEPS) -> SortedSpectrum:
     """Eigenvalues of an exactly-symmetric 5x5 matrix, descending.
 
     Row-cyclic Jacobi sweeps with no rotation thresholding; converged once
     the off-diagonal Frobenius norm drops below 1e-13 * (1 + ||M||_F).
     Raises :class:`NoConvergence` if the sweep budget runs out.
+
+    A :class:`SymMatrix5` cannot change, so at the default sweep budget its
+    eigenvalues are computed once, stored on the matrix and returned from
+    there on every later call.
     """
-    a = [[float(x) for x in row] for row in _as_array(m)]
-    fro = math.sqrt(sum(x * x for row in a for x in row))
-    thresh = OFF_NORM_TOL * (1.0 + fro)
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(4):
-            ai = a[i]
-            for j in range(i + 1, 5):
-                off += ai[j] * ai[j]
-        if math.sqrt(2.0 * off) <= thresh:
-            diag = (a[0][0], a[1][1], a[2][2], a[3][3], a[4][4])
-            return SortedSpectrum(tuple(sorted(diag, reverse=True)))
-        if sweep == max_sweeps:
-            raise NoConvergence(
-                f"off-diagonal norm {math.sqrt(2.0 * off):.3e} above "
-                f"{thresh:.3e} after {max_sweeps} sweeps"
-            )
-        for p in range(4):
-            ap = a[p]
-            for q in range(p + 1, 5):
-                apq = ap[q]
-                if apq == 0.0:
-                    continue
-                aq = a[q]
-                app = ap[p]
-                aqq = aq[q]
-                theta = 0.5 * (aqq - app) / apq
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ap[p] = app - t * apq
-                aq[q] = aqq + t * apq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                for i in range(5):
-                    if i != p and i != q:
-                        ai = a[i]
-                        aip = ai[p]
-                        aiq = ai[q]
-                        v1 = c * aip - s * aiq
-                        v2 = s * aip + c * aiq
-                        ai[p] = v1
-                        ap[i] = v1
-                        ai[q] = v2
-                        aq[i] = v2
-    raise AssertionError("unreachable")
+    if max_sweeps != MAX_SWEEPS or not isinstance(m, SymMatrix5):
+        return _jacobi(_as_array(m).tolist(), max_sweeps)
+    stored = m.__dict__.get("_eigenvalues")
+    if stored is None:
+        stored = m.__dict__["_eigenvalues"] = _jacobi(m.entries.tolist(), max_sweeps)
+    return stored
 
 
 @dataclass(frozen=True)
@@ -144,6 +168,6 @@ def entry_bound_check(m) -> bool:
     Checked with slack ``1e-12 * (1 + rho)`` on both sides.
     """
     a = _as_array(m)
-    rho = max(abs(x) for x in sym_eigenvalues(a).values)
+    rho = max(abs(x) for x in sym_eigenvalues(m).values)
     slack = ENTRY_SLACK * (1.0 + rho)
     return bool((a >= -slack).all() and (a <= rho + slack).all())

@@ -214,18 +214,18 @@ def test_closure_rule_matches_gate_oracle():
     for draw in (_typed, _typed_zero_sum, _corner_b, _aimed):
         for _ in range(2000):
             s = draw(rng)
+            if draw is _aimed and s.lam5 == -s.lam1:
+                # neither the two-paths gate nor classify admits the face
+                # once lam3 exceeds the trace
+                assert "min_above_negated_perron" in sn.pattern_b_conditions(s).failed
+                if s.lam3 > sn.elem_syms(s).e1:
+                    assert sn.classify(s).reason is Reason.NEGATED_PERRON_BOUNDARY
+                    on_face += 1
             for sign in (Sign.PLUS, Sign.MINUS):
                 p = sn.Perturbation(i=int(rng.integers(2, 6)), sign=sign,
                                     s=float(rng.uniform(0.001, 0.5)))
                 rule = sn.decide_perturbed(s, p).rule
-                expected = _gate_rule(s, sign)
-                if expected is ClosureRule.PATTERN_B and s.lam5 == -s.lam1:
-                    # the two-paths gate admits lam5 = -lam1, where classify
-                    # proves the original unrealizable, so no closure holds
-                    assert sn.classify(s).reason is Reason.NEGATED_PERRON_BOUNDARY
-                    expected = ClosureRule.DIRECT
-                    on_face += 1
-                assert rule is expected, (s.values, sign)
+                assert rule is _gate_rule(s, sign), (s.values, sign)
                 seen.add(rule)
     assert seen == set(ClosureRule)
     assert on_face > 0

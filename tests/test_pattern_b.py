@@ -21,7 +21,12 @@ E1_HAIR_BELOW_ZERO = sn.sort_descending(sn.parse_spectrum(
     "0.8577167397489156,0.6715302078397394,-0.13446586418989326,"
     "-0.4514760364437743,-0.9433050469559874"))
 
-REGION_CHECKS = ("min_at_least_negated_perron", "trace_nonnegative",
+# on the lam5 = -lam1 face, with lam3 a hair above the trace: classify
+# proves it unrealizable, and the cubic still has the root g = 0
+ON_NEGATED_PERRON_FACE = sn.sort_descending(sn.parse_spectrum(
+    "1.0,0.3399191592268039,0.3399191592268033,-0.33991915922680993,-1.0"))
+
+REGION_CHECKS = ("min_above_negated_perron", "trace_nonnegative",
                  "third_exceeds_trace")
 
 
@@ -166,9 +171,20 @@ def test_entries_clamp_slightly_negative_m():
     assert b[0, 1] == math.sqrt(sn.compute_klm(s, g).l)
 
 
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+def test_gate_and_builder_reject_the_negated_perron_face():
+    s = ON_NEGATED_PERRON_FACE
+    assert sn.classify(s).reason is sn.Reason.NEGATED_PERRON_BOUNDARY
+    assert sn.find_g(s) == 0.0
+    assert sn.pattern_b_conditions(s).failed == ("min_above_negated_perron",)
+    with pytest.raises(sn.PreconditionViolated) as exc:
+        sn.build_pattern_b(s, 0.0)
+    assert exc.value.failed == ("min_above_negated_perron",)
+
+
 @pytest.mark.parametrize("check,vals", [
-    ("min_at_least_negated_perron", (1.0, 0.6, 0.5, -0.55, -1.1)),
-    ("trace_nonnegative", (1.0, 0.5, 0.2, -0.9, -1.0)),
+    ("min_above_negated_perron", (1.0, 0.6, 0.5, -0.55, -1.1)),
+    ("trace_nonnegative", (1.0, 0.5, 0.2, -0.9, -0.95)),
     ("third_exceeds_trace", (1.0, 0.9, 0.3, -0.5, -0.6)),
 ])
 def test_gate_and_builder_name_the_same_region_check(check, vals):

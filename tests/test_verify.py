@@ -6,9 +6,11 @@ import numpy.testing as npt
 import pytest
 
 import sniep5 as sn
-from support import assert_ident
+from sniep5 import verify
+from support import assert_ident, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
+B_DRAW = dict(t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3)
 
 
 def _random_symmetric(rng, scale=5.0):
@@ -131,3 +133,137 @@ def test_entry_bound_check_rejects_negative_entry():
 
 def test_entry_bound_check_accepts_zero():
     assert sn.entry_bound_check(np.zeros((5, 5)))
+
+
+def _jacobi_reference(m, max_sweeps=30):
+    """The Jacobi sweep as first written, kept as the kernel's bit oracle."""
+    a = [[float(x) for x in row] for row in np.array(m, dtype=float)]
+    fro = math.sqrt(sum(x * x for row in a for x in row))
+    thresh = 1e-13 * (1.0 + fro)
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for i in range(4):
+            ai = a[i]
+            for j in range(i + 1, 5):
+                off += ai[j] * ai[j]
+        if math.sqrt(2.0 * off) <= thresh:
+            diag = (a[0][0], a[1][1], a[2][2], a[3][3], a[4][4])
+            return tuple(sorted(diag, reverse=True))
+        if sweep == max_sweeps:
+            raise sn.NoConvergence("sweep budget exhausted")
+        for p in range(4):
+            ap = a[p]
+            for q in range(p + 1, 5):
+                apq = ap[q]
+                if apq == 0.0:
+                    continue
+                aq = a[q]
+                app = ap[p]
+                aqq = aq[q]
+                theta = 0.5 * (aqq - app) / apq
+                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
+                for i in range(5):
+                    if i != p and i != q:
+                        ai = a[i]
+                        aip = ai[p]
+                        aiq = ai[q]
+                        v1 = c * aip - s * aiq
+                        v2 = s * aip + c * aiq
+                        ai[p] = v1
+                        ap[i] = v1
+                        ai[q] = v2
+                        aq[i] = v2
+    raise AssertionError("unreachable")
+
+
+def _bits(values):
+    return tuple(x.hex() for x in values)
+
+
+def _pattern_matrices(rng, certificate, count, **draw_kw):
+    def certified(s):
+        return sn.classify(s).certificate is certificate
+    return [sn.realize(s, sn.classify(s))
+            for s in sample_until(rng, certified, count, **draw_kw)]
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(113)
+    cases = _pattern_matrices(rng, sn.Certificate.PATTERN_A, 150)
+    cases += _pattern_matrices(rng, sn.Certificate.PATTERN_B, 150, **B_DRAW)
+    cases += [_random_symmetric(rng, scale) for scale in (1e-3, 1.0, 5.0, 1e4)
+              for _ in range(100)]
+    cases += [np.diag(rng.uniform(-5.0, 5.0, 5)) for _ in range(20)]
+    cases += [np.outer(v, v) for v in rng.uniform(-3.0, 3.0, (20, 5))]
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(50):
+            a = _random_symmetric(rng)
+            mask = np.triu(rng.random((5, 5)) < density, 1)
+            a[mask | mask.T] = 0.0
+            cases.append(a)
+    # block-diagonal: every rotation coupling the blocks meets apq == 0
+    block = np.zeros((5, 5))
+    block[:2, :2] = [[2.0, 0.5], [0.5, -1.0]]
+    block[2:, 2:] = [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0], [3.0, 0.0, -2.0]]
+    return cases + [block]
+
+
+def test_jacobi_bit_identical_to_reference():
+    for m in _kernel_cases():
+        want = _bits(_jacobi_reference(m))
+        assert _bits(sn.sym_eigenvalues(m).values) == want
+        if not isinstance(m, sn.SymMatrix5):
+            assert _bits(sn.sym_eigenvalues(sn.SymMatrix5(m)).values) == want
+
+
+def test_symmatrix_stores_its_eigenvalues():
+    m = sn.build_pattern_a(EX1)
+    first = sn.sym_eigenvalues(m)
+    assert sn.sym_eigenvalues(m) is first
+    assert sn.sym_eigenvalues(m, max_sweeps=verify.MAX_SWEEPS) is first
+
+
+def test_verify_and_entry_bound_share_one_jacobi(monkeypatch):
+    calls = []
+    kernel = verify._jacobi
+
+    def counted(a, max_sweeps):
+        calls.append(max_sweeps)
+        return kernel(a, max_sweeps)
+
+    monkeypatch.setattr(verify, "_jacobi", counted)
+    m = sn.build_pattern_a(EX1)
+    assert sn.verify_spectrum(m, EX1).passed
+    assert sn.entry_bound_check(m)
+    assert len(calls) == 1
+    # plain arrays and a non-default budget run the kernel every call
+    a = np.array(m.entries)
+    sn.sym_eigenvalues(a)
+    sn.sym_eigenvalues(a)
+    sn.sym_eigenvalues(m, max_sweeps=40)
+    sn.sym_eigenvalues(m, max_sweeps=40)
+    assert len(calls) == 5
+
+
+def test_stored_eigenvalues_keep_no_convergence_budget():
+    m = sn.SymMatrix5(_random_symmetric(np.random.default_rng(109)))
+    sn.sym_eigenvalues(m)
+    with pytest.raises(sn.NoConvergence):
+        sn.sym_eigenvalues(m, max_sweeps=0)
+
+
+def test_stored_eigenvalues_leave_identity_semantics():
+    a = sn.build_pattern_a(EX1).entries
+    m, twin = sn.SymMatrix5(a), sn.SymMatrix5(a)
+    before = repr(m)
+    sn.sym_eigenvalues(m)
+    assert repr(m) == before == repr(twin)
+    assert m == m and m != twin
