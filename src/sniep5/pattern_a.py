@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateU, NegativeRadicand, PreconditionViolated
 from .spectrum import (
     ConditionReport,
@@ -53,8 +51,8 @@ def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
     return ConditionReport(checks)
 
 
-def pattern_a_entries(s: SortedSpectrum) -> np.ndarray:
-    """Assemble the raw matrix entries without the nonnegativity gate.
+def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
+    """The five rows of the five-cycle matrix, without the nonnegativity gate.
 
     Useful for checking the characteristic polynomial on spectra outside
     the validity region; the result is real whenever u > 0 and v >= 0, but
@@ -69,15 +67,13 @@ def pattern_a_entries(s: SortedSpectrum) -> np.ndarray:
     a24 = sc.w / sc.u
     a25 = math.sqrt(sc.v) / sc.u
     a35 = sc.r / sc.u
-    m = np.zeros((5, 5))
-    m[0, 0] = elem_syms(s).e1
-    m[0, 2] = m[2, 0] = a13
-    m[0, 4] = m[4, 0] = a13
-    m[1, 3] = m[3, 1] = a24
-    m[1, 4] = m[4, 1] = a25
-    m[2, 3] = m[3, 2] = a25
-    m[2, 4] = m[4, 2] = a35
-    return m
+    return (
+        (elem_syms(s).e1, 0.0, a13, 0.0, a13),
+        (0.0, 0.0, 0.0, a24, a25),
+        (a13, 0.0, 0.0, a25, a35),
+        (0.0, a24, a25, 0.0, 0.0),
+        (a13, a25, a35, 0.0, 0.0),
+    )
 
 
 def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cubic
 from .errors import NegativeRadicand, PreconditionViolated
 from .spectrum import ConditionReport, SortedSpectrum, SymMatrix5, elem_syms
@@ -127,8 +125,8 @@ def pattern_b_conditions(s: SortedSpectrum) -> ConditionReport:
     return ConditionReport(checks, g=g)
 
 
-def pattern_b_entries(s: SortedSpectrum, g: float) -> np.ndarray:
-    """Assemble the raw matrix entries without the gate.
+def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], ...]:
+    """The five rows of the two-paths matrix, without the gate.
 
     Real only when l >= 0 and m >= 0, after a slightly negative m is
     clamped to 0; entries may still be negative for g outside the validity
@@ -141,16 +139,13 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> np.ndarray:
         raise NegativeRadicand(f"complex entries at l={sc.l}, m={m}")
     sl = math.sqrt(sc.l)
     sm = math.sqrt(m)
-    mtx = np.zeros((5, 5))
-    mtx[0, 0] = g
-    mtx[2, 2] = e1 - 2.0 * g
-    mtx[3, 3] = g
-    mtx[0, 1] = mtx[1, 0] = sl
-    mtx[3, 4] = mtx[4, 3] = sl
-    mtx[0, 2] = mtx[2, 0] = sm
-    mtx[2, 3] = mtx[3, 2] = sm
-    mtx[1, 4] = mtx[4, 1] = sc.k
-    return mtx
+    return (
+        (g, sl, sm, 0.0, 0.0),
+        (sl, 0.0, 0.0, 0.0, sc.k),
+        (sm, 0.0, e1 - 2.0 * g, sm, 0.0),
+        (0.0, 0.0, sm, g, sl),
+        (0.0, sc.k, 0.0, sl, 0.0),
+    )
 
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
@@ -167,8 +162,8 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(report.failed)}", report.failed
         )
-    mtx = pattern_b_entries(s, admitted)
-    k = mtx[1, 4]
+    rows = pattern_b_entries(s, admitted)
+    k = rows[1][4]
     if not k > 0.0:
         raise NegativeRadicand(f"entry scalar out of range at g={admitted}: k={k}")
-    return SymMatrix5(mtx, provenance="pattern_b")
+    return SymMatrix5(rows, provenance="pattern_b")

@@ -225,6 +225,13 @@ class ConditionReport:
 _PATTERN_PROVENANCE = ("pattern_a", "pattern_b")
 
 
+def _row(row) -> tuple[float, ...]:
+    """The row's entries as floats; a text row such as "11111" is refused."""
+    if isinstance(row, (str, bytes)):
+        raise TypeError(f"row {row!r} is text, not numbers")
+    return tuple(map(float, row))
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix5:
     """A 5x5 exactly-symmetric real matrix with a construction tag.
@@ -233,32 +240,32 @@ class SymMatrix5:
     by the two constructors in this package (those are guaranteed entrywise
     nonnegative) and ``"external"`` for anything read from outside.
 
-    ``entries`` is a private read-only copy, so ``sym_eigenvalues`` can store
-    its result on the matrix without it ever going stale.
+    ``entries`` is a tuple of five row tuples of Python floats, read with
+    ``float()`` from nested sequences or an ndarray (not from text rows).  It
+    cannot change, so ``sym_eigenvalues`` can store its result on the
+    matrix without it ever going stale.  ``np.asarray(m)`` is a fresh copy.
     """
 
-    entries: np.ndarray
+    entries: tuple[tuple[float, ...], ...]
     provenance: str = "external"
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.shape != (N, N):
-            raise ValueError(f"expected a {N}x{N} matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        try:
+            rows = tuple(map(_row, self.entries))
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be real numbers: {exc}") from None
+        if len(rows) != N or any(len(row) != N for row in rows):
+            raise ValueError(f"expected {N} rows of {N} entries each")
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("matrix has non-finite entries")
-        if (arr != arr.T).any():
+        if rows != tuple(zip(*rows)):
             raise ValueError("matrix is not exactly symmetric")
-        if self.provenance in _PATTERN_PROVENANCE and (arr < 0).any():
-            raise ValueError(
-                f"{self.provenance} matrices must be entrywise nonnegative"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        if self.provenance in _PATTERN_PROVENANCE and min(map(min, rows)) < 0.0:
+            raise ValueError(f"{self.provenance} matrix has a negative entry")
+        object.__setattr__(self, "entries", rows)
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return np.array(self.entries, dtype=dtype)
-        return np.array(self.entries)
+        return np.array(self.entries, dtype=dtype)
 
     def format_text(self) -> str:
         """Five rows of five space-separated decimals, 17 significant digits."""
@@ -287,4 +294,4 @@ class SymMatrix5:
             ]
         # 17 significant digits round-trip doubles exactly, so output from
         # format_text/format_json reconstructs bit-identically
-        return cls(np.array(rows, dtype=float), provenance=provenance)
+        return cls(rows, provenance=provenance)

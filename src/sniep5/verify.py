@@ -1,13 +1,13 @@
 """Independent spectral verification.
 
 Two routes that share no code with the matrix constructors: the
-characteristic polynomial through the trace recurrence on matrix powers,
-and eigenvalues through a cyclic Jacobi iteration.  ``verify_spectrum``
-compares Jacobi eigenvalues against a target spectrum; ``entry_bound_check``
-confirms the entries of a symmetric nonnegative matrix stay inside
-[0, spectral radius].  A :class:`SymMatrix5` stores its Jacobi eigenvalues
-on first use, so both checks on one matrix share a single Jacobi run and
-read the same bits.
+characteristic polynomial through the trace recurrence on matrix powers
+(numpy's only use here), and eigenvalues through a pure-Python cyclic
+Jacobi iteration.  ``verify_spectrum`` compares Jacobi eigenvalues against
+a target spectrum; ``entry_bound_check`` confirms the entries of a
+symmetric nonnegative matrix stay inside [0, spectral radius].  Plain input
+is first made a :class:`SymMatrix5`, with its checks; that value stores its
+Jacobi eigenvalues, so both checks share one Jacobi run and the same bits.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ MAX_SWEEPS = 30
 ENTRY_SLACK = 1e-12
 
 
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, SymMatrix5):
-        return m.entries
-    return np.array(m, dtype=float)
+def _matrix(m) -> SymMatrix5:
+    # plain input gets SymMatrix5's shape, finiteness and symmetry checks
+    return m if isinstance(m, SymMatrix5) else SymMatrix5(m)
 
 
 def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
@@ -39,10 +38,10 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
 
         n_k = M (n_{k-1} + a_{k-1} I),   a_k = -tr(n_k)/k.
     """
-    a = _as_array(m)
+    a = np.asarray(_matrix(m))
     eye = np.eye(5)
     coeffs = [1.0]
-    n = a.copy()
+    n = a
     c = -float(np.trace(n))
     coeffs.append(c)
     for k in range(2, 6):
@@ -60,9 +59,10 @@ _ROTATIONS = tuple(
 )
 
 
-def _jacobi(a: list[list[float]], max_sweeps: int) -> SortedSpectrum:
-    """Cyclic Jacobi on the rows ``a``, which it overwrites."""
+def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
+    """Cyclic Jacobi on a list copy of ``rows``."""
     sqrt = math.sqrt
+    a = [list(r) for r in rows]
     a0, a1, a2, a3, a4 = a
     fro = sqrt(sum(x * x for row in a for x in row))
     thresh = OFF_NORM_TOL * (1.0 + fro)
@@ -123,11 +123,12 @@ def sym_eigenvalues(m, max_sweeps: int = MAX_SWEEPS) -> SortedSpectrum:
     eigenvalues are computed once, stored on the matrix and returned from
     there on every later call.
     """
-    if max_sweeps != MAX_SWEEPS or not isinstance(m, SymMatrix5):
-        return _jacobi(_as_array(m).tolist(), max_sweeps)
+    m = _matrix(m)
+    if max_sweeps != MAX_SWEEPS:
+        return _jacobi(m.entries, max_sweeps)
     stored = m.__dict__.get("_eigenvalues")
     if stored is None:
-        stored = m.__dict__["_eigenvalues"] = _jacobi(m.entries.tolist(), max_sweeps)
+        stored = m.__dict__["_eigenvalues"] = _jacobi(m.entries, max_sweeps)
     return stored
 
 
@@ -167,7 +168,7 @@ def entry_bound_check(m) -> bool:
 
     Checked with slack ``1e-12 * (1 + rho)`` on both sides.
     """
-    a = _as_array(m)
+    m = _matrix(m)
     rho = max(abs(x) for x in sym_eigenvalues(m).values)
     slack = ENTRY_SLACK * (1.0 + rho)
-    return bool((a >= -slack).all() and (a <= rho + slack).all())
+    return all(-slack <= x <= rho + slack for row in m.entries for x in row)

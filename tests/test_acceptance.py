@@ -85,7 +85,7 @@ def test_01_first_example_five_cycle():
         es.e1 == 350.0
         and sc.r == 306540.0
         and bool(sn.pattern_a_conditions(EX1))
-        and bool(np.all(mat.entries >= 0.0))
+        and bool(np.all(np.asarray(mat) >= 0.0))
         and rep.passed
         and elapsed < 0.010
     )
@@ -93,7 +93,7 @@ def test_01_first_example_five_cycle():
             f"max dev {rep.max_deviation:.2e}, {elapsed * 1e3:.2f} ms")
     assert es.e1 == 350.0 and sc.r == 306540.0
     assert sn.pattern_a_conditions(EX1).passed
-    assert np.all(mat.entries >= 0.0)
+    assert np.all(np.asarray(mat) >= 0.0)
     assert rep.passed
     assert elapsed < 0.010
 
@@ -134,7 +134,7 @@ def test_03_second_example_two_paths():
         and roots_ok
         and g is not None
         and abs(g - 174.2391939) < 1e-5
-        and bool(np.all(mat.entries >= 0.0))
+        and bool(np.all(np.asarray(mat) >= 0.0))
         and rep.passed
         and elapsed < 0.010
     )
@@ -144,14 +144,14 @@ def test_03_second_example_two_paths():
     assert sc.r == -127980.0
     assert coeffs_ok and roots_ok
     assert abs(g - 174.2391939) < 1e-5
-    assert np.all(mat.entries >= 0.0)
+    assert np.all(np.asarray(mat) >= 0.0)
     assert rep.passed
     assert elapsed < 0.010
 
 
 def test_04_five_cycle_region_suite(suite_a):
     built, reports, elapsed = suite_a
-    all_nonneg = all(np.all(m.entries >= 0.0) for _, m in built)
+    all_nonneg = all(np.all(np.asarray(m) >= 0.0) for _, m in built)
     all_pass = all(r.passed for r in reports)
     ok = len(built) == SUITE_N and all_nonneg and all_pass and elapsed < 5.0
     worst = max(r.max_deviation for r in reports)
@@ -165,7 +165,7 @@ def test_04_five_cycle_region_suite(suite_a):
 
 def test_05_two_paths_region_suite(suite_b):
     built, reports, elapsed = suite_b
-    all_nonneg = all(np.all(m.entries >= 0.0) for _, m in built)
+    all_nonneg = all(np.all(np.asarray(m) >= 0.0) for _, m in built)
     all_pass = all(r.passed for r in reports)
     # the radicand discriminant inequality must hold on every sample
     delta_ok = True

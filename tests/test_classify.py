@@ -1,4 +1,5 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
+import hashlib
 import warnings
 
 import numpy as np
@@ -173,20 +174,32 @@ _DECISION_ONLY = [
 ]
 
 
-@pytest.mark.parametrize("s,decision", [
-    *(pytest.param(EX1, d, id=(d.certificate or d.reason or d.verdict).value)
+# sha256 of the float64 bytes of the two worked examples' matrices, as
+# the ndarray-backed builders produced them
+_EXAMPLE_DIGESTS = {
+    "first_example":
+        "d37c4740a5893e1dea4d8fbe03fca0e1dc2494e3942d7f46a4949c5ccc6bfb10",
+    "second_example":
+        "aa9419ad4bc792fe72d463bdc160ec1936251d3eb8702a769baf7745ef86ee57",
+}
+
+
+@pytest.mark.parametrize("s,decision,digest", [
+    *(pytest.param(EX1, d, None, id=(d.certificate or d.reason or d.verdict).value)
       for d in _DECISION_ONLY),
-    pytest.param(EX1, sn.classify(EX1), id="first_example"),
-    pytest.param(EX2, sn.classify(EX2), id="second_example"),
+    *(pytest.param(s, sn.classify(s), _EXAMPLE_DIGESTS[name], id=name)
+      for name, s in (("first_example", EX1), ("second_example", EX2))),
 ])
-def test_realize_builds_exactly_the_pattern_certificates(s, decision):
+def test_realize_builds_exactly_the_pattern_certificates(s, decision, digest):
     mat = sn.realize(s, decision)
     build = _PATTERN_BUILDS.get(decision.certificate)
     if build is None:
         assert mat is None
     else:
         # the same builder call, so the same bits, -0.0 included
-        assert mat.entries.tobytes() == build(s, decision).entries.tobytes()
+        got = np.asarray(mat).tobytes()
+        assert got == np.asarray(build(s, decision)).tobytes()
+        assert hashlib.sha256(got).hexdigest() == digest
         assert mat.provenance == decision.certificate.value
 
 

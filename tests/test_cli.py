@@ -286,6 +286,34 @@ def test_verify_rejects_asymmetric_file(tmp_path):
     assert code == 2
 
 
+def _json_rows(rows):
+    return "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+
+
+_ZERO_ROWS = [["0"] * 5 for _ in range(5)]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_json_rows(_ZERO_ROWS[:4] + [["0"] * 4]), id="ragged_rows"),
+    pytest.param(_json_rows([["[0]"] + ["0"] * 4] + _ZERO_ROWS[1:]),
+                 id="nested_entry"),
+    pytest.param(_json_rows([["null"] + ["0"] * 4] + _ZERO_ROWS[1:]), id="null"),
+    pytest.param(_json_rows([["NaN"] + ["0"] * 4] + _ZERO_ROWS[1:]), id="nan"),
+    pytest.param(_json_rows([["0"] * 4 for _ in range(4)]), id="four_by_four"),
+    pytest.param('["11111","11111","11111","11111","11111"]', id="text_rows"),
+    pytest.param("0 0 0 0 0\n0 zero 0 0 0\n" + "0 0 0 0 0\n" * 3,
+                 id="word_in_text"),
+])
+def test_verify_rejects_malformed_matrix_file(tmp_path, capsys, payload):
+    path = tmp_path / "bad.txt"
+    path.write_text(payload)
+    code, text = run("verify", "--spectrum", EX1, "--matrix", str(path))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert text == ""
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_help_exits_cleanly():
     code, _ = run("--help")
     assert code == 0

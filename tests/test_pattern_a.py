@@ -67,7 +67,7 @@ def test_scaling_homogeneity():
 
 def test_build_golden_entries():
     mat = sn.build_pattern_a(EX1)
-    a = mat.entries
+    a = np.asarray(mat)
     assert mat.provenance == "pattern_a"
     assert a[0, 0] == 350.0
     off = math.sqrt(355160.0 / 2.0)

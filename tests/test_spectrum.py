@@ -261,10 +261,42 @@ def test_sym_matrix_validation():
     sn.SymMatrix5(neg)  # no sign constraint without a construction provenance
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param(np.eye(5), id="ndarray"),
+    pytest.param([[float(i == j) for j in range(5)] for i in range(5)],
+                 id="nested_lists"),
+    pytest.param([[int(i == j) for j in range(5)] for i in range(5)], id="ints"),
+    pytest.param([[np.float64(i == j) for j in range(5)] for i in range(5)],
+                 id="np_float64"),
+])
+def test_sym_matrix_stores_python_float_rows(entries):
+    m = sn.SymMatrix5(entries)
+    assert type(m.entries) is tuple and len(m.entries) == 5
+    assert all(type(row) is tuple and len(row) == 5 for row in m.entries)
+    assert all(type(x) is float for row in m.entries for x in row)
+    assert m.entries == tuple(tuple(float(i == j) for j in range(5))
+                              for i in range(5))
+
+
+def test_sym_matrix_value_contract():
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[1][1] = -0.0
+    m = sn.SymMatrix5(rows)
+    assert math.copysign(1.0, m.entries[1][1]) == -1.0
+    a = np.asarray(m)
+    assert a.dtype == np.float64 and a.shape == (5, 5)
+    assert math.copysign(1.0, a[1, 1]) == -1.0
+    a[0, 0] = 7.0  # a fresh array: writing to it leaves the matrix alone
+    assert m.entries[0][0] == 0.0
+    assert not np.shares_memory(a, np.asarray(m))
+    with pytest.raises(ValueError):
+        sn.SymMatrix5(["11111"] * 5)  # text rows are not rows of numbers
+
+
 def test_sym_matrix_entries_read_only():
     m = _sample_matrix()
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 1.0
 
 
 def test_sym_matrix_text_round_trip():

@@ -135,6 +135,30 @@ def test_entry_bound_check_accepts_zero():
     assert sn.entry_bound_check(np.zeros((5, 5)))
 
 
+def _asymmetric_pattern_a():
+    a = np.asarray(sn.build_pattern_a(EX1))
+    a[2, 0] += 1.0  # lower triangle no longer mirrors the upper one
+    return a
+
+
+@pytest.mark.parametrize("check", [
+    sn.sym_eigenvalues,
+    lambda m: sn.verify_spectrum(m, EX1),
+    sn.entry_bound_check,
+    sn.char_poly_coeffs,
+], ids=["sym_eigenvalues", "verify_spectrum", "entry_bound_check",
+        "char_poly_coeffs"])
+@pytest.mark.parametrize("m", [
+    pytest.param(np.ones((5, 6)), id="five_by_six"),
+    pytest.param(np.ones((5, 4)), id="five_by_four"),
+    pytest.param(np.full((5, 5), np.nan), id="all_nan"),
+    pytest.param(_asymmetric_pattern_a(), id="asymmetric"),
+])
+def test_plain_input_gets_the_matrix_checks(m, check):
+    with pytest.raises(ValueError):
+        check(m)
+
+
 def _jacobi_reference(m, max_sweeps=30):
     """The Jacobi sweep as first written, kept as the kernel's bit oracle."""
     a = [[float(x) for x in row] for row in np.array(m, dtype=float)]
