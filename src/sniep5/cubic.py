@@ -34,15 +34,22 @@ def residual_bound(c3: float, c2: float, c1: float, c0: float, root: float) -> f
 
 
 def _polish(c3, c2, c1, c0, x, steps=4):
-    """Newton refinement on the original coefficients; keeps the best iterate."""
-    best_x, best_f = x, abs(evaluate(c3, c2, c1, c0, x))
+    """Newton refinement on the original coefficients; keeps the best iterate.
+
+    Each iterate's residual is evaluated once, by Horner's rule in the
+    association order of :func:`evaluate`, and reused for the next step.
+    """
+    d3 = 3.0 * c3
+    d2 = 2.0 * c2
+    f = ((c3 * x + c2) * x + c1) * x + c0
+    best_x, best_f = x, abs(f)
     for _ in range(steps):
-        f = evaluate(c3, c2, c1, c0, x)
-        df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        df = (d3 * x + d2) * x + c1
         if df == 0.0:
             break
         x -= f / df
-        fx = abs(evaluate(c3, c2, c1, c0, x))
+        f = ((c3 * x + c2) * x + c1) * x + c0
+        fx = abs(f)
         if fx < best_f:
             best_x, best_f = x, fx
         if fx == 0.0:
@@ -87,7 +94,8 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
             # zero; the conjugate pair is then real to working precision
             raw.append(shift - (u + v) / 2.0)
 
-    polished = sorted(_polish(c3, c2, c1, c0, x) for x in raw)
+    polished = [_polish(c3, c2, c1, c0, x) for x in raw]
+    polished.sort()
 
     merged: list[float] = []
     for x in polished:

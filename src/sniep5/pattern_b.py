@@ -67,16 +67,16 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
     )
 
 
-def _admit(s: SortedSpectrum, x: float) -> float | None:
-    """x clamped onto [0, e1/2]; None if it lies past the rounding slack.
+def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> list[float]:
+    """The roots clamped onto [0, e1/2], dropping any past the rounding slack.
 
     The interval is empty when e1 < 0, and then nothing is admitted.
     """
     half = 0.5 * elem_syms(s).e1
-    slack = RANGE_SLACK * max(1.0, abs(half))
-    if -slack <= x <= half + slack and half >= 0.0:
-        return min(max(x, 0.0), half)
-    return None
+    if half < 0.0:
+        return []
+    slack = RANGE_SLACK * max(1.0, half)
+    return [min(max(x, 0.0), half) for x in roots if -slack <= x <= half + slack]
 
 
 def find_g(s: SortedSpectrum) -> float | None:
@@ -87,9 +87,8 @@ def find_g(s: SortedSpectrum) -> float | None:
     entries g and e1 - 2g never go negative by round-off alone.
     """
     q = q_poly(s)
-    roots = cubic.real_roots(q.c3, q.c2, q.c1, q.c0)  # ascending: last hit is largest
-    hits = [g for g in (_admit(s, root) for root in roots) if g is not None]
-    return hits[-1] if hits else None
+    hits = _admit(s, cubic.real_roots(q.c3, q.c2, q.c1, q.c0))
+    return hits[-1] if hits else None  # roots ascend: the last hit is largest
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:
@@ -151,10 +150,10 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
     q = q_poly(s)
-    admitted = _admit(s, g)
+    admitted = _admit(s, (g,))
     checks = (
         ("g_is_a_root", abs(q(g)) <= q.residual_bound(g)),
-        ("g_in_range", admitted is not None),
+        ("g_in_range", bool(admitted)),
         *_region_checks(s),
     )
     report = ConditionReport(checks, g=g)
@@ -162,8 +161,9 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(report.failed)}", report.failed
         )
-    rows = pattern_b_entries(s, admitted)
+    g = admitted[0]  # clamped onto [0, e1/2]
+    rows = pattern_b_entries(s, g)
     k = rows[1][4]
     if not k > 0.0:
-        raise NegativeRadicand(f"entry scalar out of range at g={admitted}: k={k}")
+        raise NegativeRadicand(f"entry scalar out of range at g={g}: k={k}")
     return SymMatrix5(rows, provenance="pattern_b")

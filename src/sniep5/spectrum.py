@@ -7,6 +7,13 @@ holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
 :class:`ConditionReport`), the elementary symmetric polynomials and the
 five-cycle scalars u/v/w/r, and the three cheap necessary conditions every
 realizable spectrum must satisfy.
+
+A spectrum computes e1..e5 (and a sorted one u/v/w/r) on first read and
+writes them into its own ``__dict__``; later reads find them there, with no
+lock.  The expansion is written out factor by factor, so each e_k comes
+out bit-identical to the loop ``nxt[i] += c; nxt[i + 1] -= c * lam`` over
+the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
+``NamedTuple``s and so compare equal to plain tuples.
 """
 
 from __future__ import annotations
@@ -15,13 +22,61 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidSpectrum
 
 N = 5
+
+# values that iterate as characters or byte codes, not as five numbers
+_TEXT = (str, bytes, bytearray)
+
+
+class _stored:
+    """A method run on first read whose result is written into the instance
+    ``__dict__`` under the method's name, where every later read finds it.
+
+    ``functools.cached_property`` does the same but takes a lock on every
+    first read before Python 3.12.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _expand(a: float, b: float, c: float, d: float, e: float) -> ElemSyms:
+    """e1..e5 of a, b, c, d, e (descending) from prod(z - lam), one factor at a time.
+
+    Each step is the loop ``nxt[i] += c; nxt[i + 1] -= c * lam`` written out:
+    ``0.0 - x`` is kept because it is not ``-x`` when x is a signed zero, and
+    the leading coefficient stays exactly 1.0.
+    """
+    p1 = 0.0 - a
+    q1 = (0.0 - b) + p1
+    q2 = 0.0 - p1 * b
+    r1 = (0.0 - c) + q1
+    r2 = (0.0 - q1 * c) + q2
+    r3 = 0.0 - q2 * c
+    s1 = (0.0 - d) + r1
+    s2 = (0.0 - r1 * d) + r2
+    s3 = (0.0 - r2 * d) + r3
+    s4 = 0.0 - r3 * d
+    return ElemSyms(
+        -((0.0 - e) + s1),
+        (0.0 - s1 * e) + s2,
+        -((0.0 - s2 * e) + s3),
+        (0.0 - s3 * e) + s4,
+        -(0.0 - s4 * e),
+    )
 
 
 @dataclass(frozen=True)
@@ -31,13 +86,16 @@ class Spectrum:
     values: tuple[float, float, float, float, float]
 
     def __post_init__(self):
+        values = self.values
+        if isinstance(values, _TEXT):
+            raise InvalidSpectrum(f"values {values!r} are text, not numbers")
         try:
-            vals = tuple(float(v) for v in self.values)
+            vals = tuple(map(float, values))
         except (TypeError, ValueError) as exc:
-            raise InvalidSpectrum(f"non-numeric entry in {self.values!r}") from exc
+            raise InvalidSpectrum(f"non-numeric entry in {values!r}") from exc
         if len(vals) != N:
             raise InvalidSpectrum(f"expected {N} values, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise InvalidSpectrum(f"non-finite entry in {vals}")
         object.__setattr__(self, "values", vals)
 
@@ -48,17 +106,10 @@ class Spectrum:
     def __iter__(self):
         return iter(self.values)
 
-    @cached_property
+    @_stored
     def elem_syms(self) -> ElemSyms:
-        """e1..e5, expanded on first use and then stored on this value."""
-        coeffs = [1.0]
-        for lam in sorted(self.values, reverse=True):
-            nxt = [0.0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] += c
-                nxt[i + 1] -= c * lam
-            coeffs = nxt
-        return ElemSyms(-coeffs[1], coeffs[2], -coeffs[3], coeffs[4], -coeffs[5])
+        """e1..e5 of the entries taken in descending order, stored on first read."""
+        return _expand(*sorted(self.values, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -66,9 +117,9 @@ class SortedSpectrum(Spectrum):
     """A spectrum known to be in descending order."""
 
     def __post_init__(self):
-        super().__post_init__()
-        v = self.values
-        if any(v[i] < v[i + 1] for i in range(N - 1)):
+        Spectrum.__post_init__(self)
+        a, b, c, d, e = v = self.values
+        if not a >= b >= c >= d >= e:
             raise InvalidSpectrum(f"not in descending order: {v}")
 
     @property
@@ -91,22 +142,26 @@ class SortedSpectrum(Spectrum):
     def lam5(self):
         return self.values[4]
 
-    @cached_property
+    @_stored
+    def elem_syms(self) -> ElemSyms:
+        """e1..e5, stored on first read; the entries are already descending."""
+        return _expand(*self.values)
+
+    @_stored
     def uvwr(self) -> PatternAScalars:
-        """The five-cycle scalars u, v, w, r, evaluated on first use and stored."""
+        """The five-cycle scalars u, v, w, r, stored on first read."""
         l1, l2, l3, l4, l5 = self.values
-        es = self.elem_syms
-        u = -es.e2 - l2 * l2 - l5 * l5
+        e1, e2, e3, _, _ = self.elem_syms
+        u = -e2 - l2 * l2 - l5 * l5
         v = -(
             (l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5)
         )
-        w = l2 * l5 * es.e1 - l1 * l3 * l4
-        r = es.e3 + es.e1 * (l2 * l2 + l5 * l5)
+        w = l2 * l5 * e1 - l1 * l3 * l4
+        r = e3 + e1 * (l2 * l2 + l5 * l5)
         return PatternAScalars(u, v, w, r)
 
 
-@dataclass(frozen=True)
-class ElemSyms:
+class ElemSyms(NamedTuple):
     """The five elementary symmetric polynomials e1..e5 of a spectrum."""
 
     e1: float
@@ -116,11 +171,10 @@ class ElemSyms:
     e5: float
 
     def as_tuple(self):
-        return (self.e1, self.e2, self.e3, self.e4, self.e5)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class PatternAScalars:
+class PatternAScalars(NamedTuple):
     """The scalars u, v, w, r that drive the five-cycle construction."""
 
     u: float
@@ -227,7 +281,7 @@ _PATTERN_PROVENANCE = ("pattern_a", "pattern_b")
 
 def _row(row) -> tuple[float, ...]:
     """The row's entries as floats; a text row such as "11111" is refused."""
-    if isinstance(row, (str, bytes)):
+    if isinstance(row, _TEXT):
         raise TypeError(f"row {row!r} is text, not numbers")
     return tuple(map(float, row))
 

@@ -5,10 +5,13 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import cubic
-from support import poly_from_roots
+from support import poly_from_roots, sample_until
 
 EX1_Q = (2.0, 780.0, -169279.0, -5139810.0)
 EX2_Q = (2.0, 766.0, -189010.0, -901830.0)
+
+# acceptance suite 05's draw, which reaches the two-paths region
+B_DRAW = dict(t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3)
 
 
 def test_factored_three_roots():
@@ -83,3 +86,64 @@ def test_residual_bound_random():
 def test_degenerate_leading_coefficient():
     with pytest.raises(sn.DegenerateLeadingCoefficient):
         cubic.real_roots(0.0, 1.0, 2.0, 3.0)
+
+
+def _evaluate_reference(c3, c2, c1, c0, x):
+    return ((c3 * x + c2) * x + c1) * x + c0
+
+
+def _polish_reference(c3, c2, c1, c0, x, steps=4):
+    """The Newton loop as first written: the residual at each iterate is
+    evaluated twice, through a call, and Q' is formed in the loop."""
+    best_x, best_f = x, abs(_evaluate_reference(c3, c2, c1, c0, x))
+    for _ in range(steps):
+        f = _evaluate_reference(c3, c2, c1, c0, x)
+        df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if df == 0.0:
+            break
+        x -= f / df
+        fx = abs(_evaluate_reference(c3, c2, c1, c0, x))
+        if fx < best_f:
+            best_x, best_f = x, fx
+        if fx == 0.0:
+            break
+    return best_x
+
+
+def _reference_cubics():
+    rng = np.random.default_rng(41)
+    for s in sample_until(rng, lambda s: True, 300):
+        q = sn.q_poly(s)
+        yield (q.c3, q.c2, q.c1, q.c0)
+    for s in sample_until(rng, lambda s: True, 300, **B_DRAW):
+        q = sn.q_poly(s)
+        yield (q.c3, q.c2, q.c1, q.c0)
+    for _ in range(600):
+        coeffs = tuple(float(c) for c in rng.uniform(-100, 100, 4))
+        if coeffs[0] != 0.0:
+            yield coeffs
+    for _ in range(300):
+        a, b = (float(v) for v in rng.uniform(-50, 50, 2))
+        lead = float(rng.uniform(0.2, 5.0))
+        yield tuple(poly_from_roots([a, a, b], lead=lead))
+        yield tuple(poly_from_roots([a, a, a], lead=lead))
+
+
+def _hex(xs):
+    return tuple(x.hex() for x in xs)
+
+
+def test_polish_bit_identical_to_reference_loop():
+    cubics = list(_reference_cubics())
+    want_polish = []
+    want_roots = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cubic, "_polish", _polish_reference)
+        for c in cubics:
+            want_roots.append(_hex(cubic.real_roots(*c)))
+    starts = (-60.0, -1.0, 0.0, 0.5, 3.0, 75.0)
+    for c in cubics:
+        want_polish.append(_hex(_polish_reference(*c, x) for x in starts))
+    for c, roots, polished in zip(cubics, want_roots, want_polish):
+        assert _hex(cubic.real_roots(*c)) == roots, c
+        assert _hex(cubic._polish(*c, x) for x in starts) == polished, c

@@ -33,6 +33,66 @@ def test_spectrum_rejects_bad_input():
         sn.Spectrum.of(1, 2, 3, 4, math.inf)
 
 
+_BASE = (5.0, 4.0, 3.0, 2.0, 1.0)
+
+
+def _with(i, x):
+    return _BASE[:i] + (x,) + _BASE[i + 1:]
+
+
+def _swapped(i):
+    v = list(_BASE)
+    v[i], v[i + 1] = v[i + 1], v[i]
+    return tuple(v)
+
+
+@pytest.mark.parametrize("cls", [sn.Spectrum, sn.SortedSpectrum])
+@pytest.mark.parametrize("values,message", [
+    ((1.0, 2.0, 3.0), "expected 5 values, got 3"),
+    ((5, 4, 3, 2, 1, 0), "expected 5 values, got 6"),
+    ((5.0, "x", 3.0, 2.0, 1.0), "non-numeric entry in (5.0, 'x', 3.0, 2.0, 1.0)"),
+    ((5.0, None, 3.0, 2.0, 1.0), "non-numeric entry in (5.0, None, 3.0, 2.0, 1.0)"),
+    (5.0, "non-numeric entry in 5.0"),
+    *[(_with(i, bad), f"non-finite entry in {_with(i, bad)}")
+      for bad in (math.nan, math.inf, -math.inf) for i in range(5)],
+])
+def test_invalid_spectrum_messages(cls, values, message):
+    with pytest.raises(sn.InvalidSpectrum) as info:
+        cls(values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_sorted_spectrum_order_message_per_pair(i):
+    with pytest.raises(sn.InvalidSpectrum) as info:
+        sn.SortedSpectrum(_swapped(i))
+    assert str(info.value) == f"not in descending order: {_swapped(i)}"
+    sn.Spectrum(_swapped(i))  # order is not asked of an unsorted spectrum
+
+
+@pytest.mark.parametrize("cls,text", [
+    pytest.param(sn.Spectrum, "12345", id="str"),
+    pytest.param(sn.Spectrum, b"12345", id="bytes"),
+    pytest.param(sn.Spectrum, bytearray(b"12345"), id="bytearray"),
+    pytest.param(sn.SortedSpectrum, "54321", id="sorted_str"),
+    pytest.param(sn.SortedSpectrum, b"54321", id="sorted_bytes"),
+])
+def test_spectrum_refuses_text(cls, text):
+    # iterating text gives characters or byte codes, not five numbers
+    with pytest.raises(sn.InvalidSpectrum, match="text, not numbers"):
+        cls(text)
+
+
+def test_invariants_are_named_tuples():
+    s = sn.SortedSpectrum(EX1)
+    assert sn.elem_syms(s) == EX1_ESYMS
+    assert sn.elem_syms(s).as_tuple() == EX1_ESYMS
+    assert type(sn.elem_syms(s).as_tuple()) is tuple
+    sc = sn.compute_uvwr(s)
+    assert (sc.u, sc.v, sc.w, sc.r) == tuple(sc)
+    assert repr(sn.elem_syms(s)).startswith("ElemSyms(e1=350.0, e2=")
+
+
 def test_sort_descending():
     s = sn.sort_descending(sn.Spectrum.of(360, 1000, -750, 381, -641))
     assert isinstance(s, sn.SortedSpectrum)
@@ -154,10 +214,20 @@ def _bits(xs):
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False)
+# signed zeros, two-decimal entries and magnitudes from 1e-8 to 1e8: the
+# expansion's 0.0 - x steps differ from -x exactly when x is a signed zero
+_entry = st.one_of(
+    _finite,
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-999, 999).map(lambda k: k / 100),
+    st.tuples(st.floats(-1.0, 1.0), st.integers(-8, 8)).map(
+        lambda p: p[0] * 10.0 ** p[1]),
+)
 
 
 @given(st.one_of(
     st.tuples(_finite, _finite, _finite, _finite, _finite),
+    st.tuples(_entry, _entry, _entry, _entry, _entry),
     # the worked examples, scaled, reach the builders and their gates
     st.tuples(st.sampled_from([EX1, (1000.0, 370.0, 367.0, -637.0, -750.0)]),
               st.floats(1e-3, 1e3)).map(lambda p: tuple(p[1] * v for v in p[0])),
