@@ -16,6 +16,7 @@ nonnegative and lam2 + lam5 <= 0.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -192,7 +193,9 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     if not is_trace_zero(s):
         raise NotTraceZero(f"sum is {elem_syms(s).e1}, not zero")
     det = _details(s)
-    cube_sum = sum(v ** 3 for v in s.values)
+    # fsum: the sign of a sum that cancels must not depend on the Python
+    # version (3.12's sum() is compensated, 3.11's is not)
+    cube_sum = math.fsum(v ** 3 for v in s.values)
     if cube_sum >= 0.0 and l2 + l5 <= 0.0:
         return RealizabilityDecision(
             Verdict.REALIZABLE, certificate=Certificate.TRACE_ZERO, details=det

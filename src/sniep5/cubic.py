@@ -85,7 +85,9 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
         # repeated root with p != 0: one double root and one simple root
         raw = [shift - 3.0 * q / (2.0 * p), shift + 3.0 * q / p]
     else:
-        s = math.sqrt(q * q / 4.0 + p**3 / 27.0)
+        # disc and this radicand round apart near a double root, where the
+        # radicand can land a hair below zero
+        s = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
         u = _cbrt(-q / 2.0 + s)
         v = _cbrt(-q / 2.0 - s)
         raw = [shift + u + v]

@@ -3,11 +3,16 @@
 Two routes that share no code with the matrix constructors: the
 characteristic polynomial through the trace recurrence on matrix powers
 (numpy's only use here), and eigenvalues through a pure-Python cyclic
-Jacobi iteration.  ``verify_spectrum`` compares Jacobi eigenvalues against
-a target spectrum; ``entry_bound_check`` confirms the entries of a
-symmetric nonnegative matrix stay inside [0, spectral radius].  Plain input
-is first made a :class:`SymMatrix5`, with its checks; that value stores its
-Jacobi eigenvalues, so both checks share one Jacobi run and the same bits.
+Jacobi iteration.  The Jacobi kernel is written out over the 15
+upper-triangle entries: :class:`SymMatrix5` refuses a matrix that is not
+exactly symmetric, so the lower triangle holds nothing more.  Its Frobenius
+norm stays a ``sum()``, so its bits match the looped kernel kept in the
+tests on every Python version.  ``verify_spectrum`` compares Jacobi
+eigenvalues against a target spectrum; ``entry_bound_check`` confirms the
+entries of a symmetric nonnegative matrix stay inside [0, spectral radius].
+Plain input is first made a :class:`SymMatrix5`, with its checks; that value
+stores its Jacobi eigenvalues, so both checks share one Jacobi run and the
+same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ OFF_NORM_TOL = 1e-13
 MAX_SWEEPS = 30
 ENTRY_SLACK = 1e-12
 
+# one identity for every char_poly_coeffs call, read-only so none can alter it
+_EYE = np.eye(5)
+_EYE.flags.writeable = False
+
 
 def _matrix(m) -> SymMatrix5:
     # plain input gets SymMatrix5's shape, finiteness and symmetry checks
@@ -38,77 +47,180 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
 
         n_k = M (n_{k-1} + a_{k-1} I),   a_k = -tr(n_k)/k.
     """
-    a = np.asarray(_matrix(m))
-    eye = np.eye(5)
+    a = np.array(_matrix(m).entries)
     coeffs = [1.0]
     n = a
-    c = -float(np.trace(n))
+    c = -float(n.trace())
     coeffs.append(c)
     for k in range(2, 6):
-        n = a @ (n + c * eye)
-        c = -float(np.trace(n)) / k
+        n = a @ (n + c * _EYE)
+        c = -float(n.trace()) / k
         coeffs.append(c)
     return tuple(coeffs)
 
 
-# the ten row-cyclic rotations (p, q) with the three rows each one also mixes
-_ROTATIONS = tuple(
-    (p, q, tuple(i for i in range(5) if i != p and i != q))
-    for p in range(4)
-    for q in range(p + 1, 5)
-)
-
-
 def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
-    """Cyclic Jacobi on a list copy of ``rows``."""
+    """Row-cyclic Jacobi over the upper triangle of ``rows``, held in locals.
+
+    Every caller passes the rows of a :class:`SymMatrix5`, which refuses a
+    matrix that is not exactly symmetric, so entry (i, j) lives in one local,
+    ``a{min(i,j)}{max(i,j)}``.  A sweep is the ten rotations (0, 1), (0, 2),
+    ..., (3, 4) written out in that order, each skipped when its pivot is
+    0.0 and each mixing the three other rows.  Mirrored zeros of opposite
+    sign also pass the symmetry check; they move no result bit, because a
+    zero's sign can only change the sign of another zero, and a zero is
+    never a pivot.
+
+    ``fro`` stays a ``sum()`` over all 25 squares in row-major order,
+    because Python 3.12's ``sum()`` of floats is compensated and a ``+``
+    chain would round differently there.
+    """
     sqrt = math.sqrt
-    a = [list(r) for r in rows]
-    a0, a1, a2, a3, a4 = a
-    fro = sqrt(sum(x * x for row in a for x in row))
+    (
+        (a00, a01, a02, a03, a04),
+        (_, a11, a12, a13, a14),
+        (_, _, a22, a23, a24),
+        (_, _, _, a33, a34),
+        (_, _, _, _, a44),
+    ) = rows
+    fro = sqrt(sum(x * x for row in rows for x in row))
     thresh = OFF_NORM_TOL * (1.0 + fro)
     for sweep in range(max_sweeps + 1):
         off = (
-            a0[1] * a0[1] + a0[2] * a0[2] + a0[3] * a0[3] + a0[4] * a0[4]
-            + a1[2] * a1[2] + a1[3] * a1[3] + a1[4] * a1[4]
-            + a2[3] * a2[3] + a2[4] * a2[4]
-            + a3[4] * a3[4]
+            a01 * a01 + a02 * a02 + a03 * a03 + a04 * a04
+            + a12 * a12 + a13 * a13 + a14 * a14
+            + a23 * a23 + a24 * a24
+            + a34 * a34
         )
         if sqrt(2.0 * off) <= thresh:
-            diag = (a0[0], a1[1], a2[2], a3[3], a4[4])
+            diag = (a00, a11, a22, a33, a44)
             return SortedSpectrum(tuple(sorted(diag, reverse=True)))
         if sweep == max_sweeps:
             raise NoConvergence(
                 f"off-diagonal norm {sqrt(2.0 * off):.3e} above "
                 f"{thresh:.3e} after {max_sweeps} sweeps"
             )
-        for p, q, others in _ROTATIONS:
-            ap = a[p]
-            apq = ap[q]
-            if apq == 0.0:
-                continue
-            aq = a[q]
-            app = ap[p]
-            aqq = aq[q]
-            theta = 0.5 * (aqq - app) / apq
+        if a01 != 0.0:
+            theta = 0.5 * (a11 - a00) / a01
             t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
                 t = -t
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            ap[p] = app - t * apq
-            aq[q] = aqq + t * apq
-            ap[q] = 0.0
-            aq[p] = 0.0
-            for i in others:
-                ai = a[i]
-                aip = ai[p]
-                aiq = ai[q]
-                v1 = c * aip - s * aiq
-                v2 = s * aip + c * aiq
-                ai[p] = v1
-                ap[i] = v1
-                ai[q] = v2
-                aq[i] = v2
+            a00, a11 = a00 - t * a01, a11 + t * a01
+            a01 = 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+            a03, a13 = c * a03 - s * a13, s * a03 + c * a13
+            a04, a14 = c * a04 - s * a14, s * a04 + c * a14
+        if a02 != 0.0:
+            theta = 0.5 * (a22 - a00) / a02
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a00, a22 = a00 - t * a02, a22 + t * a02
+            a02 = 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            a03, a23 = c * a03 - s * a23, s * a03 + c * a23
+            a04, a24 = c * a04 - s * a24, s * a04 + c * a24
+        if a03 != 0.0:
+            theta = 0.5 * (a33 - a00) / a03
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a00, a33 = a00 - t * a03, a33 + t * a03
+            a03 = 0.0
+            a01, a13 = c * a01 - s * a13, s * a01 + c * a13
+            a02, a23 = c * a02 - s * a23, s * a02 + c * a23
+            a04, a34 = c * a04 - s * a34, s * a04 + c * a34
+        if a04 != 0.0:
+            theta = 0.5 * (a44 - a00) / a04
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a00, a44 = a00 - t * a04, a44 + t * a04
+            a04 = 0.0
+            a01, a14 = c * a01 - s * a14, s * a01 + c * a14
+            a02, a24 = c * a02 - s * a24, s * a02 + c * a24
+            a03, a34 = c * a03 - s * a34, s * a03 + c * a34
+        if a12 != 0.0:
+            theta = 0.5 * (a22 - a11) / a12
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a11, a22 = a11 - t * a12, a22 + t * a12
+            a12 = 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            a13, a23 = c * a13 - s * a23, s * a13 + c * a23
+            a14, a24 = c * a14 - s * a24, s * a14 + c * a24
+        if a13 != 0.0:
+            theta = 0.5 * (a33 - a11) / a13
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a11, a33 = a11 - t * a13, a33 + t * a13
+            a13 = 0.0
+            a01, a03 = c * a01 - s * a03, s * a01 + c * a03
+            a12, a23 = c * a12 - s * a23, s * a12 + c * a23
+            a14, a34 = c * a14 - s * a34, s * a14 + c * a34
+        if a14 != 0.0:
+            theta = 0.5 * (a44 - a11) / a14
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a11, a44 = a11 - t * a14, a44 + t * a14
+            a14 = 0.0
+            a01, a04 = c * a01 - s * a04, s * a01 + c * a04
+            a12, a24 = c * a12 - s * a24, s * a12 + c * a24
+            a13, a34 = c * a13 - s * a34, s * a13 + c * a34
+        if a23 != 0.0:
+            theta = 0.5 * (a33 - a22) / a23
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a22, a33 = a22 - t * a23, a33 + t * a23
+            a23 = 0.0
+            a02, a03 = c * a02 - s * a03, s * a02 + c * a03
+            a12, a13 = c * a12 - s * a13, s * a12 + c * a13
+            a24, a34 = c * a24 - s * a34, s * a24 + c * a34
+        if a24 != 0.0:
+            theta = 0.5 * (a44 - a22) / a24
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a22, a44 = a22 - t * a24, a44 + t * a24
+            a24 = 0.0
+            a02, a04 = c * a02 - s * a04, s * a02 + c * a04
+            a12, a14 = c * a12 - s * a14, s * a12 + c * a14
+            a23, a34 = c * a23 - s * a34, s * a23 + c * a34
+        if a34 != 0.0:
+            theta = 0.5 * (a44 - a33) / a34
+            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = t * c
+            a33, a44 = a33 - t * a34, a44 + t * a34
+            a34 = 0.0
+            a03, a04 = c * a03 - s * a04, s * a03 + c * a04
+            a13, a14 = c * a13 - s * a14, s * a13 + c * a14
+            a23, a24 = c * a23 - s * a24, s * a23 + c * a24
+
     raise AssertionError("unreachable")
 
 
@@ -171,4 +283,5 @@ def entry_bound_check(m) -> bool:
     m = _matrix(m)
     rho = max(abs(x) for x in sym_eigenvalues(m).values)
     slack = ENTRY_SLACK * (1.0 + rho)
-    return all(-slack <= x <= rho + slack for row in m.entries for x in row)
+    rows = m.entries
+    return -slack <= min(map(min, rows)) and max(map(max, rows)) <= rho + slack

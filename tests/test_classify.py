@@ -235,6 +235,16 @@ def test_trace_zero_violated_second_entry():
     assert d.reason is Reason.TRACE_ZERO_VIOLATED
 
 
+def test_trace_zero_cube_sum_is_exact():
+    # the cubes cancel exactly; a plain left-to-right sum() leaves -1.4e-17
+    # on Python 3.11 and 0.0 on 3.12, whose sum() is compensated
+    s = sn.SortedSpectrum((0.43, 0.4, 0.0, -0.4, -0.43))
+    d = sn.classify_trace_zero(s)
+    assert d.verdict is Verdict.REALIZABLE
+    assert d.certificate is Certificate.TRACE_ZERO
+    assert sn.classify(s).verdict is Verdict.REALIZABLE
+
+
 def test_trace_zero_tolerance():
     s = sn.SortedSpectrum((2.0, 1.0, 0.0, -1.0, -2.0 + 1e-13))
     d = sn.classify_trace_zero(s)

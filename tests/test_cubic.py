@@ -56,6 +56,18 @@ def test_double_root_merges():
     npt.assert_allclose(roots, [-5.0, 2.0], atol=1e-6)
 
 
+def test_double_root_with_radicand_below_zero():
+    # disc rounds to -1.2e-7, so the one-real-root branch runs, but its
+    # radicand q*q/4 + p**3/27 rounds to -1.9e-9 on its own
+    coeffs = (1.2782256631265436, -55.532696725031215,
+              -3.3806351870179214, -0.051414303837602655)
+    roots = cubic.real_roots(*coeffs)
+    assert roots == (-0.030406319677551252, 43.505955642663366)
+    for root in roots:
+        res = abs(cubic.evaluate(*coeffs, root))
+        assert res <= cubic.residual_bound(*coeffs, root)
+
+
 def test_triple_root():
     roots = cubic.real_roots(*poly_from_roots([4.0, 4.0, 4.0]))
     assert len(roots) == 1

@@ -90,6 +90,14 @@ def test_closure_rule_trace_zero():
     assert d.perturbed.values == (11.0, 0.0, -2.0, -2.0, -7.0)
 
 
+def test_closure_rule_trace_zero_on_exactly_cancelling_cubes():
+    # the cube sum is exactly 0.0, so the trace-zero rule applies on every
+    # Python version
+    s = sn.SortedSpectrum((0.43, 0.4, 0.0, -0.4, -0.43))
+    d = sn.decide_perturbed(s, sn.Perturbation(i=2, sign="minus", s=0.1))
+    assert d.rule is ClosureRule.TRACE_ZERO
+
+
 def test_known_region_closure():
     # the original already sits in the solved band lam3 <= e1
     s = sn.SortedSpectrum((1.0, 0.9, 0.3, -0.5, -0.6))

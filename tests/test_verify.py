@@ -248,6 +248,26 @@ def test_jacobi_bit_identical_to_reference():
             assert _bits(sn.sym_eigenvalues(sn.SymMatrix5(m)).values) == want
 
 
+def _char_poly_reference(m):
+    """The trace recurrence as first written, kept as the bit oracle."""
+    a = np.asarray(m, dtype=float)
+    eye = np.eye(5)
+    coeffs = [1.0]
+    n = a
+    c = -float(np.trace(n))
+    coeffs.append(c)
+    for k in range(2, 6):
+        n = a @ (n + c * eye)
+        c = -float(np.trace(n)) / k
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def test_char_poly_bit_identical_to_reference():
+    for m in _kernel_cases():
+        assert _bits(sn.char_poly_coeffs(m)) == _bits(_char_poly_reference(m))
+
+
 def test_symmatrix_stores_its_eigenvalues():
     m = sn.build_pattern_a(EX1)
     first = sn.sym_eigenvalues(m)
