@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BoundaryProximityWarning, NotTraceZero
-from .pattern_a import build_pattern_a, compute_uvwr, pattern_a_conditions
+from .pattern_a import build_pattern_a, pattern_a_conditions
 from .pattern_b import build_pattern_b, pattern_b_conditions
 from .spectrum import (
     SortedSpectrum,
@@ -62,10 +62,33 @@ class Reason(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionDetails:
-    e1: float
-    r: float
-    u: float
-    mn_sum: float
+    """The numbers behind a decision, read from the decided spectrum on demand.
+
+    ``e1`` is the spectrum's stored e1, ``u`` and ``r`` its stored five-cycle
+    scalars, and ``mn_sum`` is lam1 + lam3 + lam4.  Nothing is computed until
+    it is read, so ``classify`` expands no e1..e5 for a spectrum that fails
+    the Perron check, and no u/v/w/r for one decided before the pattern
+    gates.  Two details compare equal when their spectra do.
+    """
+
+    spectrum: SortedSpectrum
+
+    @property
+    def e1(self) -> float:
+        return self.spectrum.elem_syms.e1
+
+    @property
+    def r(self) -> float:
+        return self.spectrum.uvwr.r
+
+    @property
+    def u(self) -> float:
+        return self.spectrum.uvwr.u
+
+    @property
+    def mn_sum(self) -> float:
+        l1, _, l3, l4, _ = self.spectrum.values
+        return l1 + l3 + l4
 
     def to_json_dict(self) -> dict:
         return {"e1": self.e1, "r": self.r, "u": self.u, "mn_sum": self.mn_sum}
@@ -98,17 +121,10 @@ class RealizabilityDecision:
         return out
 
 
-def _details(s: SortedSpectrum) -> DecisionDetails:
-    sc = compute_uvwr(s)
-    return DecisionDetails(
-        e1=elem_syms(s).e1, r=sc.r, u=sc.u, mn_sum=s.lam1 + s.lam3 + s.lam4
-    )
-
-
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """Decide realizability of a descending spectrum; first matching rule wins."""
     l1, l2, l3, _, l5 = s.values
-    det = _details(s)
+    det = DecisionDetails(s)
 
     if not check_pf(s):
         return RealizabilityDecision(
@@ -130,7 +146,7 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
         return RealizabilityDecision(
             Verdict.REALIZABLE, certificate=Certificate.TWO_POSITIVE, details=det
         )
-    if l3 <= det.e1:
+    if l3 <= s.elem_syms.e1:
         return RealizabilityDecision(
             Verdict.REALIZABLE, certificate=Certificate.DIRECT_SUM, details=det
         )
@@ -192,7 +208,7 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
         raise ValueError("trace-zero characterization needs lam5 >= -lam1")
     if not is_trace_zero(s):
         raise NotTraceZero(f"sum is {elem_syms(s).e1}, not zero")
-    det = _details(s)
+    det = DecisionDetails(s)
     # fsum: the sign of a sum that cancels must not depend on the Python
     # version (3.12's sum() is compensated, 3.11's is not)
     cube_sum = math.fsum(v ** 3 for v in s.values)

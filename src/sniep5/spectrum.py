@@ -205,7 +205,18 @@ def sort_descending(s: Spectrum) -> SortedSpectrum:
     The sort is stable, so entries that compare equal keep their relative
     input order.
     """
-    return SortedSpectrum(tuple(sorted(s.values, reverse=True)))
+    return _checked_sorted(tuple(sorted(s.values, reverse=True)))
+
+
+def _checked_sorted(values: tuple) -> SortedSpectrum:
+    """A ``SortedSpectrum`` of ``values`` without a second validation pass.
+
+    Only for values already known to be five finite floats in descending
+    order, such as a checked ``Spectrum``'s values sorted largest first.
+    """
+    out = object.__new__(SortedSpectrum)
+    out.__dict__["values"] = values
+    return out
 
 
 def elem_syms(s: Spectrum) -> ElemSyms:

@@ -229,12 +229,15 @@ def sym_eigenvalues(m, max_sweeps: int = MAX_SWEEPS) -> SortedSpectrum:
 
     Row-cyclic Jacobi sweeps with no rotation thresholding; converged once
     the off-diagonal Frobenius norm drops below 1e-13 * (1 + ||M||_F).
-    Raises :class:`NoConvergence` if the sweep budget runs out.
+    Raises :class:`NoConvergence` if the sweep budget runs out, and
+    ``ValueError`` for a negative ``max_sweeps``.
 
     A :class:`SymMatrix5` cannot change, so at the default sweep budget its
     eigenvalues are computed once, stored on the matrix and returned from
     there on every later call.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     m = _matrix(m)
     if max_sweeps != MAX_SWEEPS:
         return _jacobi(m.entries, max_sweeps)

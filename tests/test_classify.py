@@ -1,5 +1,6 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
 import hashlib
+import random
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
-from support import sample_until
+from sniep5.classify import is_trace_zero
+from support import poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -292,3 +294,81 @@ def test_enum_values_stable():
     assert Verdict.UNKNOWN.value == "unknown"
     assert Certificate.GUO_CLOSURE.value == "guo_closure"
     assert Reason.NEGATED_PERRON_BOUNDARY.value == "negated_perron_boundary"
+
+
+@pytest.mark.parametrize("vals,tag,absent", [
+    ((1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED, ("elem_syms", "uvwr")),
+    ((-1.0, -2.0, -3.0, -4.0, -5.0), Reason.PF_VIOLATED, ("elem_syms", "uvwr")),
+    ((1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED, ("uvwr",)),
+    ((1.0, 0.9, 0.3, -0.5, -0.6), Certificate.DIRECT_SUM, ("uvwr",)),
+])
+def test_classify_computes_only_what_the_verdict_reads(vals, tag, absent):
+    s = sn.sort_descending(sn.Spectrum(vals[::-1]))
+    d = sn.classify(s)
+    assert tag in (d.reason, d.certificate)
+    assert d.details.spectrum is s
+    for name in absent:
+        assert name not in s.__dict__
+    # reading the details computes them then, once, onto the spectrum
+    d.details.to_json_dict()
+    assert "elem_syms" in s.__dict__ and "uvwr" in s.__dict__
+
+
+def test_details_compare_by_spectrum():
+    d = sn.classify(EX1)
+    twin = sn.DecisionDetails(sn.SortedSpectrum(EX1.values))
+    assert d.details == twin and hash(d.details) == hash(twin)
+    assert repr(twin) == f"DecisionDetails(spectrum={EX1!r})"
+    assert d == sn.classify(sn.SortedSpectrum(EX1.values))
+
+
+def _details_reference(vals):
+    """The eager details of a descending list, written out from scratch:
+    e1 and u, r from the product expansion, and lam1 + lam3 + lam4."""
+    l1, l2, l3, l4, l5 = vals
+    c = poly_from_roots(vals)
+    e1, e2, e3 = -c[1], c[2], -c[3]
+    return {
+        "e1": e1.hex(),
+        "r": (e3 + e1 * (l2 * l2 + l5 * l5)).hex(),
+        "u": (-e2 - l2 * l2 - l5 * l5).hex(),
+        "mn_sum": (l1 + l3 + l4).hex(),
+    }
+
+
+def _hex_details(decision):
+    return {k: v.hex() for k, v in decision.details.to_json_dict().items()}
+
+
+def _mixed_lists(rng, n):
+    """Uniform, two-decimal, exactly zero-sum, signed-zero and lam5 = -lam1 lists."""
+    for k in range(n):
+        kind = k % 5
+        if kind == 0:
+            vals = [rng.uniform(-1.0, 1.0) for _ in range(5)]
+        elif kind == 1:
+            vals = [rng.randint(-100, 100) / 100 for _ in range(5)]
+        elif kind == 2:
+            hundredths = [rng.randint(-100, 100) for _ in range(4)]
+            vals = [h / 100 for h in hundredths + [-sum(hundredths)]]
+        elif kind == 3:
+            vals = [rng.choice((0.0, -0.0, 0.5, -0.5, 1.0, -1.0)) for _ in range(5)]
+        else:
+            vals = [1.0, -1.0] + [rng.randint(-100, 100) / 100 for _ in range(3)]
+        rng.shuffle(vals)
+        yield vals
+
+
+def test_details_bit_identical_to_eager_formula():
+    seen = set()
+    for vals in _mixed_lists(random.Random(137), 5000):
+        s = sn.sort_descending(sn.Spectrum(vals))
+        d = _quiet_classify(s)
+        seen.add(d.reason or d.certificate)
+        assert _hex_details(d) == _details_reference(s.values)
+        if s.lam5 >= -s.lam1 and is_trace_zero(s):
+            tz = sn.classify_trace_zero(s)
+            seen.add(tz.reason or tz.certificate)
+            assert _hex_details(tz) == _details_reference(s.values)
+    assert seen >= set(Reason) | {Certificate.SULEIMANOVA, Certificate.TWO_POSITIVE,
+                                  Certificate.DIRECT_SUM, Certificate.TRACE_ZERO}

@@ -188,6 +188,13 @@ def test_sample_csv_digest():
 
 
 DIRECT_SUM = "1,0.9,0.3,-0.5,-0.6"
+# one list per verdict that classify reaches before the pattern gates
+PERRON = "1,0,0,-0.5,-1.5"
+TRACE = "1,0,-0.5,-0.5,-0.5"
+MN = "3,2.9,-1.9,-2,-2"
+BOUNDARY = "1,0.9,0.85,-0.95,-1"
+SULEIMANOVA = "1,-0.1,-0.2,-0.3,-0.35"
+TWO_POSITIVE = "1,0.5,0,-0.7,-0.75"
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", [
@@ -220,15 +227,46 @@ DIRECT_SUM = "1,0.9,0.3,-0.5,-0.6"
      "ebd4a2f245c372298fe78d845335865be97271db2c7747bffa9fcadd7aade6da"),
     (("realize", "--spectrum", UNKNOWN), 1,
      "ebd4a2f245c372298fe78d845335865be97271db2c7747bffa9fcadd7aade6da"),
+    (("check", "--spectrum", PERRON), 0,
+     "534cd57db1f7aa6901eb75fa0a86ae555dd534b1412b7465209d74f21a08b7a5"),
+    (("check", "--spectrum", PERRON, "--format", "json"), 0,
+     "4c3486e1b0a174947385d3997d02c1a708158e8790360c8f8796418e165f33bc"),
+    (("check", "--spectrum", TRACE), 0,
+     "524835ad680690ca62f32d15ec6efbf7bd4f57a60caece334c63686e8859b78f"),
+    (("check", "--spectrum", TRACE, "--format", "json"), 0,
+     "f3af234d312d59155624c4671accf4fb5638d9123f069d343b0c40ad76bd075f"),
+    (("check", "--spectrum", MN), 0,
+     "d5a0308ed417676020ca77b4af2b695d5388a4dbf699b51c11854cc6eea282d3"),
+    (("check", "--spectrum", MN, "--format", "json"), 0,
+     "8368c6e4379e11a5fec01544d0e027354b1442cd69808f4d4b46ccf79307a058"),
+    (("check", "--spectrum", BOUNDARY), 0,
+     "23a1b5d1faee98e93a9a64a39749b62023fbe8fe04e0d365602ccec8232fdf56"),
+    (("check", "--spectrum", BOUNDARY, "--format", "json"), 0,
+     "dd427cc2ea06774becca728f0c5b6fb43c038cf9ee8db19548d92dd24d070782"),
+    (("check", "--spectrum", SULEIMANOVA), 0,
+     "349967508068def14ba1b71b6a5d64237b9e6f744f033c556d3744e0f5bc94dd"),
+    (("check", "--spectrum", SULEIMANOVA, "--format", "json"), 0,
+     "ac150b524e2f76c0cf86531728b807e6ad359b79b81129e436e6a1743d56a176"),
+    (("check", "--spectrum", TWO_POSITIVE), 0,
+     "4ac964fa35a37b353e9e74059fdd4d71e15f112b7ad13c8503a5bc8d6fb6d4a0"),
+    (("check", "--spectrum", TWO_POSITIVE, "--format", "json"), 0,
+     "252fcb008e0f612dca6a070824560c78179608a9cfbe764818e1f837301f37c4"),
 ], ids=["realize-ex1-text", "realize-ex1-json", "realize-ex2-text",
         "realize-ex2-json", "perturb-ex1-text", "perturb-ex1-json",
         "check-verify-ex1-text", "check-verify-ex1-json",
         "check-verify-ex2-text", "check-verify-ex2-json",
         "realize-note-text", "realize-note-json",
-        "check-unknown-text", "realize-unknown-text"])
+        "check-unknown-text", "realize-unknown-text",
+        "check-perron-text", "check-perron-json",
+        "check-trace-text", "check-trace-json",
+        "check-mn-text", "check-mn-json",
+        "check-boundary-text", "check-boundary-json",
+        "check-suleimanova-text", "check-suleimanova-json",
+        "check-two-positive-text", "check-two-positive-json"])
 def test_readme_example_digest(argv, exit_code, digest):
     # recorded before every certificate was built through realize; the
-    # check/realize cases before the two commands shared one handler
+    # check/realize cases before the two commands shared one handler; the
+    # early-exit check cases before decision details were read on demand
     code, text = run(*argv)
     assert code == exit_code
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -33,6 +33,21 @@ def test_perturbation_sign_coercion():
     assert q.sign is Sign.MINUS
 
 
+@pytest.mark.parametrize("s,p", [
+    (EX1, sn.Perturbation(i=2, sign="minus", s=float("inf"))),
+    (EX1, sn.Perturbation(i=5, sign="plus", s=float("inf"))),
+    # lam1 + s overflows to inf
+    (sn.SortedSpectrum((1e308, 0.0, 0.0, -1.0, -1e308)),
+     sn.Perturbation(i=4, sign="minus", s=1e308)),
+])
+def test_apply_refuses_a_non_finite_result(s, p):
+    # sort_descending trusts its input, so the Spectrum step must refuse it
+    with pytest.raises(sn.InvalidSpectrum):
+        sn.apply_perturbation(s, p)
+    with pytest.raises(sn.InvalidSpectrum):
+        sn.decide_perturbed(s, p)
+
+
 def test_apply_minus_golden():
     p = sn.Perturbation(i=2, sign="minus", s=10.0)
     out = sn.apply_perturbation(EX1, p)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
@@ -254,6 +254,27 @@ def test_stored_elem_syms_bit_identical(vals, read_first):
     assert sn.elem_syms(s) is sn.elem_syms(s)
     assert _uvwr_bits(s) == want_uvwr
     assert sn.compute_uvwr(s) is sn.compute_uvwr(s)
+
+
+_EXTREME = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@given(st.one_of(
+    st.tuples(_EXTREME, _EXTREME, _EXTREME, _EXTREME, _EXTREME),
+    st.tuples(_entry, _entry, _EXTREME, _entry, _EXTREME),
+))
+# ties of -0.0 and 0.0 keep their input order (a stable sort), duplicates too
+@example((0.0, -0.0, 0.0, -0.0, 0.0))
+@example((-0.0, 1.0, 0.0, 1.0, -0.0))
+@example((1e300, -1e300, 1e-300, -1e-300, 1e300))
+@settings(deadline=None, max_examples=300)
+def test_sort_descending_matches_checked_constructor(vals):
+    got = sn.sort_descending(sn.Spectrum(vals))
+    want = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
+    assert type(got) is sn.SortedSpectrum
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert _bits(got.values) == _bits(want.values)
+    assert _bits(sn.elem_syms(got).as_tuple()) == _bits(sn.elem_syms(want).as_tuple())
 
 
 def test_stored_elem_syms_leaves_value_semantics():

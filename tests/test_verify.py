@@ -73,6 +73,19 @@ def test_jacobi_no_convergence_budget():
         sn.sym_eigenvalues(a, max_sweeps=0)
 
 
+@pytest.mark.parametrize("budget", [-1, -30])
+def test_negative_sweep_budget_is_refused(budget, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "_jacobi", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="max_sweeps"):
+        sn.sym_eigenvalues(np.eye(5), max_sweeps=budget)
+    assert calls == []
+
+
+def test_zero_sweep_budget_accepts_a_diagonal_matrix():
+    assert sn.sym_eigenvalues(np.eye(5), max_sweeps=0).values == (1.0,) * 5
+
+
 def test_verify_spectrum_golden():
     mat = sn.build_pattern_a(EX1)
     rep = sn.verify_spectrum(mat, EX1, rel_tol=1e-9)
