@@ -121,35 +121,48 @@ class RealizabilityDecision:
         return out
 
 
+def _decided(
+    verdict: Verdict,
+    certificate: Certificate | None,
+    reason: Reason | None,
+    det: DecisionDetails,
+    g: float | None = None,
+) -> RealizabilityDecision:
+    """A ``RealizabilityDecision`` built without the frozen-dataclass init.
+
+    Only for the literal (verdict, certificate, reason) combinations written
+    out in this module, each of which passes ``__post_init__``.  The fields
+    are set in declaration order, as the generated ``__init__`` sets them,
+    and never through ``__dict__``, so a decision keeps the compact instance
+    layout.
+    """
+    out = object.__new__(RealizabilityDecision)
+    setattr_ = object.__setattr__
+    setattr_(out, "verdict", verdict)
+    setattr_(out, "certificate", certificate)
+    setattr_(out, "reason", reason)
+    setattr_(out, "g", g)
+    setattr_(out, "details", det)
+    return out
+
+
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """Decide realizability of a descending spectrum; first matching rule wins."""
     l1, l2, l3, _, l5 = s.values
     det = DecisionDetails(s)
 
     if not check_pf(s):
-        return RealizabilityDecision(
-            Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED, details=det
-        )
+        return _decided(Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det)
     if not check_trace(s):
-        return RealizabilityDecision(
-            Verdict.NOT_REALIZABLE, reason=Reason.TRACE_VIOLATED, details=det
-        )
+        return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_VIOLATED, det)
     if not check_mn(s):
-        return RealizabilityDecision(
-            Verdict.NOT_REALIZABLE, reason=Reason.MN_VIOLATED, details=det
-        )
+        return _decided(Verdict.NOT_REALIZABLE, None, Reason.MN_VIOLATED, det)
     if l2 <= 0.0:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE, certificate=Certificate.SULEIMANOVA, details=det
-        )
+        return _decided(Verdict.REALIZABLE, Certificate.SULEIMANOVA, None, det)
     if l3 <= 0.0:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE, certificate=Certificate.TWO_POSITIVE, details=det
-        )
+        return _decided(Verdict.REALIZABLE, Certificate.TWO_POSITIVE, None, det)
     if l3 <= s.elem_syms.e1:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE, certificate=Certificate.DIRECT_SUM, details=det
-        )
+        return _decided(Verdict.REALIZABLE, Certificate.DIRECT_SUM, None, det)
 
     # past here lam3 > e1 >= 0, so the boundary exclusion applies
     if l1 > 0.0 and abs(l5 + l1) <= BOUNDARY_WARN_TOL * l1:
@@ -160,26 +173,19 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
             stacklevel=2,
         )
     if l5 == -l1:
-        return RealizabilityDecision(
-            Verdict.NOT_REALIZABLE,
-            reason=Reason.NEGATED_PERRON_BOUNDARY,
-            details=det,
+        return _decided(
+            Verdict.NOT_REALIZABLE, None, Reason.NEGATED_PERRON_BOUNDARY, det
         )
 
     report_a = pattern_a_conditions(s)
     if report_a.passed:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE, certificate=Certificate.PATTERN_A, details=det
-        )
+        return _decided(Verdict.REALIZABLE, Certificate.PATTERN_A, None, det)
     report_b = pattern_b_conditions(s)
     if report_b.passed:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE,
-            certificate=Certificate.PATTERN_B,
-            g=report_b.g,
-            details=det,
+        return _decided(
+            Verdict.REALIZABLE, Certificate.PATTERN_B, None, det, report_b.g
         )
-    return RealizabilityDecision(Verdict.UNKNOWN, details=det)
+    return _decided(Verdict.UNKNOWN, None, None, det)
 
 
 def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | None:
@@ -213,9 +219,5 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     # version (3.12's sum() is compensated, 3.11's is not)
     cube_sum = math.fsum(v ** 3 for v in s.values)
     if cube_sum >= 0.0 and l2 + l5 <= 0.0:
-        return RealizabilityDecision(
-            Verdict.REALIZABLE, certificate=Certificate.TRACE_ZERO, details=det
-        )
-    return RealizabilityDecision(
-        Verdict.NOT_REALIZABLE, reason=Reason.TRACE_ZERO_VIOLATED, details=det
-    )
+        return _decided(Verdict.REALIZABLE, Certificate.TRACE_ZERO, None, det)
+    return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_ZERO_VIOLATED, det)

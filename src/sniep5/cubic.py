@@ -19,6 +19,9 @@ from .errors import DegenerateLeadingCoefficient
 RESIDUAL_TOL = 1e-9
 MERGE_TOL = 1e-7
 
+# the angle offsets of the trigonometric branch, 2*pi*k/3 for k = 0, 1, 2
+_THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in (0, 1, 2))
+
 
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
@@ -78,8 +81,11 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
         radius = 2.0 * math.sqrt(-p / 3.0)
         arg = 3.0 * q / (2.0 * p) * math.sqrt(-3.0 / p)
         phi = math.acos(min(1.0, max(-1.0, arg))) / 3.0
+        t0, t1, t2 = _THIRDS
         raw = [
-            shift + radius * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in (0, 1, 2)
+            shift + radius * math.cos(phi - t0),
+            shift + radius * math.cos(phi - t1),
+            shift + radius * math.cos(phi - t2),
         ]
     elif disc == 0.0:
         # repeated root with p != 0: one double root and one simple root

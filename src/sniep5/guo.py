@@ -19,6 +19,7 @@ when ``classify`` certifies the perturbed list by one of the two patterns.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .classify import (
@@ -40,7 +41,8 @@ class Sign(enum.Enum):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Move lam1 up by s and lam_i (1-based index, 2..5) by +/- s."""
+    """Move lam1 up by s and lam_i (1-based index, 2..5) by +/- s; s is
+    finite and positive."""
 
     i: int
     sign: Sign
@@ -52,8 +54,10 @@ class Perturbation:
         sign = self.sign if isinstance(self.sign, Sign) else Sign(self.sign)
         object.__setattr__(self, "sign", sign)
         s = float(self.s)
-        if not s > 0.0:
-            raise ValueError(f"perturbation size must be positive, got {s}")
+        if not (math.isfinite(s) and s > 0.0):
+            raise ValueError(
+                f"perturbation size must be finite and positive, got {s}"
+            )
         object.__setattr__(self, "s", s)
 
 

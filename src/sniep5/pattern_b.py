@@ -56,15 +56,20 @@ class PatternBScalars:
     g: float
 
 
-def q_poly(s: SortedSpectrum) -> CubicQ:
+def _q_coeffs(s: SortedSpectrum) -> tuple[float, float, float, float]:
+    """Q's coefficients c3, c2, c1, c0 as a plain tuple."""
     _, _, l3, _, l5 = s.values
-    es = elem_syms(s)
-    return CubicQ(
+    e1, e2, e3, _, _ = s.elem_syms
+    return (
         2.0,
         -2.0 * (l3 + l5),
-        -(es.e2 + (l3 - l5) ** 2),
-        es.e3 + es.e1 * (l3 * l3 + l5 * l5),
+        -(e2 + (l3 - l5) ** 2),
+        e3 + e1 * (l3 * l3 + l5 * l5),
     )
+
+
+def q_poly(s: SortedSpectrum) -> CubicQ:
+    return CubicQ(*_q_coeffs(s))
 
 
 def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> list[float]:
@@ -84,11 +89,19 @@ def find_g(s: SortedSpectrum) -> float | None:
 
     A computed root within rounding slack of either endpoint is eligible
     and gets clamped onto the closed interval, so the downstream diagonal
-    entries g and e1 - 2g never go negative by round-off alone.
+    entries g and e1 - 2g never go negative by round-off alone.  Q is
+    solved only when e1 >= 0.
     """
-    q = q_poly(s)
-    hits = _admit(s, cubic.real_roots(q.c3, q.c2, q.c1, q.c0))
-    return hits[-1] if hits else None  # roots ascend: the last hit is largest
+    half = 0.5 * s.elem_syms.e1
+    if half < 0.0:
+        return None  # e1 < 0: the interval is empty, so Q is not solved
+    slack = RANGE_SLACK * max(1.0, half)
+    # roots ascend, so the first admitted one from the top is the largest;
+    # it is admitted and clamped exactly as _admit does
+    for x in reversed(cubic.real_roots(*_q_coeffs(s))):
+        if -slack <= x <= half + slack:
+            return min(max(x, 0.0), half)
+    return None
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:

@@ -20,19 +20,21 @@ plots directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .classify import RealizabilityDecision, Verdict, classify
 from .errors import EmptyGrid
-from .spectrum import SortedSpectrum
+from .spectrum import _checked_sorted
 
 CSV_HEADER = "lambda2,lambda3,lambda4,lambda5,e1,u,r,g,verdict,tag"
 
 
-@dataclass(frozen=True)
-class RegionSample:
-    """One classified grid point; lam1 is normalized to 1."""
+class RegionSample(NamedTuple):
+    """One classified grid point; lam1 is normalized to 1.
+
+    A ``NamedTuple`` whose fields come in CSV column order, so it compares
+    equal to the plain tuple of its fields.
+    """
 
     lambda2: float
     lambda3: float
@@ -91,29 +93,24 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                     continue
                 for ll in range(1, n + 1):
                     y = t + (ymax - t) * ll / n
-                    vals = (1.0, x, y, d - x - y, t - d - 1.0)
-                    if any(vals[i] < vals[i + 1] for i in range(4)):
+                    lam4 = d - x - y
+                    lam5 = t - d - 1.0
+                    # SortedSpectrum's order check; grid values are finite
+                    # floats, so _checked_sorted needs no second pass
+                    if not 1.0 >= x >= y >= lam4 >= lam5 >= -1.0:
                         continue
-                    if vals[4] < -1.0:
-                        continue
-                    decision = classify(SortedSpectrum(vals))
-                    det = decision.details
-                    if det.e1 < 0.0:
+                    s = _checked_sorted((1.0, x, y, lam4, lam5))
+                    decision = classify(s)
+                    e1 = s.elem_syms.e1
+                    if e1 < 0.0:
                         # the region has trace t >= 0; at t = 0 rounding in
                         # the reconstructed sum can land a hair below zero,
                         # and such tuples misrepresent the grid point
                         continue
+                    u, _, _, r = s.uvwr
                     yield RegionSample(
-                        lambda2=x,
-                        lambda3=y,
-                        lambda4=vals[3],
-                        lambda5=vals[4],
-                        e1=det.e1,
-                        u=det.u,
-                        r=det.r,
-                        g=decision.g,
-                        verdict=decision.verdict,
-                        tag=decision_tag(decision),
+                        x, y, lam4, lam5, e1, u, r, decision.g,
+                        decision.verdict, decision_tag(decision),
                     )
                     emitted += 1
     if emitted == 0:

@@ -268,10 +268,11 @@ def verify_spectrum(m, s: SortedSpectrum, rel_tol: float = 1e-9) -> Verification
     """Compare the eigenvalues of ``m`` against the target spectrum.
 
     Passes when every pairwise deviation stays within
-    ``rel_tol * max(1, |lam1|)`` of the target.
+    ``rel_tol * max(1, |lam1|)`` of the target.  ``rel_tol`` must be finite
+    and positive: an infinite tolerance would pass any matrix.
     """
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     eigs = sym_eigenvalues(m)
     dev = max(abs(a - b) for a, b in zip(eigs.values, s.values))
     bound = rel_tol * max(1.0, abs(s.lam1))

@@ -1,6 +1,7 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
 import hashlib
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
-from sniep5.classify import is_trace_zero
+from sniep5.classify import _decided, is_trace_zero
 from support import poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -372,3 +373,58 @@ def test_details_bit_identical_to_eager_formula():
             assert _hex_details(tz) == _details_reference(s.values)
     assert seen >= set(Reason) | {Certificate.SULEIMANOVA, Certificate.TWO_POSITIVE,
                                   Certificate.DIRECT_SUM, Certificate.TRACE_ZERO}
+
+
+# one list per exit of classify, and both outcomes of classify_trace_zero
+_EXITS = [
+    (sn.classify, (1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED),
+    (sn.classify, (1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED),
+    (sn.classify, (3.0, 2.9, -1.9, -2.0, -2.0), Reason.MN_VIOLATED),
+    (sn.classify, (1.0, -0.1, -0.2, -0.3, -0.35), Certificate.SULEIMANOVA),
+    (sn.classify, (1.0, 0.5, 0.0, -0.7, -0.75), Certificate.TWO_POSITIVE),
+    (sn.classify, (1.0, 0.9, 0.3, -0.5, -0.6), Certificate.DIRECT_SUM),
+    (sn.classify, (1.0, 0.9, 0.85, -0.95, -1.0), Reason.NEGATED_PERRON_BOUNDARY),
+    (sn.classify, EX1.values, Certificate.PATTERN_A),
+    (sn.classify, EX2.values, Certificate.PATTERN_B),
+    (sn.classify, UNKNOWN_GOLDEN.values, None),
+    (sn.classify_trace_zero, (4.0, 0.0, 0.0, -2.0, -2.0), Certificate.TRACE_ZERO),
+    (sn.classify_trace_zero, (0.5, 0.5, -0.25, -0.375, -0.375),
+     Reason.TRACE_ZERO_VIOLATED),
+]
+
+
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+@pytest.mark.parametrize("decide,vals,tag", _EXITS)
+def test_every_exit_builds_a_decision_the_constructor_accepts(decide, vals, tag):
+    d = decide(sn.SortedSpectrum(vals))
+    assert d.certificate is tag or d.reason is tag
+    if tag is None:
+        assert d.verdict is Verdict.UNKNOWN and d.certificate is d.reason is None
+    # the public constructor runs __post_init__'s checks on the same fields
+    twin = sn.RealizabilityDecision(d.verdict, d.certificate, d.reason, d.g,
+                                    d.details)
+    assert d == twin and repr(d) == repr(twin)
+    assert (d.g is not None) == (tag is Certificate.PATTERN_B)
+
+
+def test_internal_decisions_keep_the_compact_layout():
+    # bytes per decision from _decided and from the constructor; reading
+    # __dict__ would materialize a per-instance dict, about 60 bytes more
+    det = sn.DecisionDetails(EX1)
+
+    def per_decision(build, n=2000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [build() for _ in range(n)]
+            used = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == n
+        return used / n
+
+    internal = per_decision(lambda: _decided(
+        Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det))
+    public = per_decision(lambda: sn.RealizabilityDecision(
+        Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED, details=det))
+    assert internal <= public + 16, (internal, public)

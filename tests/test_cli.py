@@ -309,6 +309,32 @@ def test_verify_detects_wrong_spectrum(tmp_path):
     assert "FAIL" in text
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
+    # diag(0, 0, 0, 0, 1) is nowhere near EX1; an infinite tolerance passed it
+    rows = [["0"] * 5 for _ in range(5)]
+    rows[4][4] = "1"
+    path = tmp_path / "diag.txt"
+    path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    code, text = run("verify", "--spectrum", EX1, "--matrix", str(path),
+                     "--tol", tol)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: rel_tol must be finite and positive, got {tol}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--spectrum", EX1, "--verify"),
+    ("check", "--spectrum", EX2, "--verify", "--format", "json"),
+    ("sample", "--grid", "6", "--t", "0.35", "--verify"),
+])
+def test_verifying_commands_refuse_an_infinite_tolerance(capsys, argv):
+    code, text = run(*argv, "--tol", "inf")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: rel_tol must be finite and positive, got inf\n")
+
+
 def test_verify_missing_file_is_usage_error(tmp_path):
     code, _ = run("verify", "--spectrum", EX1,
                   "--matrix", str(tmp_path / "absent.txt"))

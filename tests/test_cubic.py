@@ -1,4 +1,6 @@
 """Real-root extraction for cubics with real coefficients."""
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -159,3 +161,8 @@ def test_polish_bit_identical_to_reference_loop():
     for c, roots, polished in zip(cubics, want_roots, want_polish):
         assert _hex(cubic.real_roots(*c)) == roots, c
         assert _hex(cubic._polish(*c, x) for x in starts) == polished, c
+
+
+def test_thirds_are_the_angles_they_replace():
+    want = tuple(2.0 * math.pi * k / 3.0 for k in (0, 1, 2))
+    assert _hex(cubic._THIRDS) == _hex(want)

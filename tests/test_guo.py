@@ -1,4 +1,6 @@
 """Perturbation moves and the closure-based decision rules."""
+import io
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import sniep5 as sn
 from sniep5 import Certificate, ClosureRule, Reason, Sign, Verdict
 from sniep5.classify import is_trace_zero
+from sniep5.cli import run_cli
 from support import closure_size, sample_trace_zero_realizable, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -33,10 +36,28 @@ def test_perturbation_sign_coercion():
     assert q.sign is Sign.MINUS
 
 
+@pytest.mark.parametrize("size", ["inf", "-inf", "nan"])
+def test_perturbation_refuses_a_non_finite_size(size):
+    with pytest.raises(ValueError, match=f"perturbation size .*got {size}$"):
+        sn.Perturbation(i=2, sign="minus", s=float(size))
+
+
+@pytest.mark.parametrize("size", ["inf", "nan"])
+def test_perturb_cli_refuses_a_non_finite_size(size, capsys):
+    code = run_cli(["perturb", "--spectrum", "1000,381,360,-641,-750", "--i", "2",
+                    "--sign", "minus", "--s", size], out=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: perturbation size must be finite and positive, got {size}\n"
+
+
 @pytest.mark.parametrize("s,p", [
-    (EX1, sn.Perturbation(i=2, sign="minus", s=float("inf"))),
-    (EX1, sn.Perturbation(i=5, sign="plus", s=float("inf"))),
     # lam1 + s overflows to inf
+    (sn.SortedSpectrum((1e308, 0.0, 0.0, -1.0, -1e308)),
+     sn.Perturbation(i=2, sign="minus", s=1e308)),
+    # lam1 + s and lam2 + s overflow to inf
+    (sn.SortedSpectrum((1e308, 1e308, 0.0, -1.0, -1e308)),
+     sn.Perturbation(i=2, sign="plus", s=1e308)),
     (sn.SortedSpectrum((1e308, 0.0, 0.0, -1.0, -1e308)),
      sn.Perturbation(i=4, sign="minus", s=1e308)),
 ])

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sniep5 as sn
-from sniep5.pattern_b import M_CLAMP_TOL, pattern_b_entries
+from sniep5.pattern_b import M_CLAMP_TOL, _admit, pattern_b_entries
 from support import assert_ident, draw_box_point, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -95,6 +97,38 @@ def test_find_g_picks_largest_admissible_root():
         if inner:
             npt.assert_allclose(sn.find_g(s), max(inner),
                                 atol=1e-9 * max(1.0, half))
+
+
+def _find_g_reference(s):
+    """find_g as first written: Q through q_poly, every root through _admit,
+    then the last (largest) admitted one."""
+    q = sn.q_poly(s)
+    hits = _admit(s, sn.real_roots(q.c3, q.c2, q.c1, q.c0))
+    return hits[-1] if hits else None
+
+
+_LISTS = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    st.lists(st.integers(-100, 100).map(lambda h: h / 100), min_size=5, max_size=5),
+    st.lists(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0)),
+             min_size=5, max_size=5),
+    # e1 < 0
+    st.lists(st.floats(-1.0, 0.1), min_size=4, max_size=4).map(
+        lambda v: v + [0.2]).filter(lambda v: math.fsum(v) < 0.0),
+    # the two-paths corner of the region, where Q has roots in [0, e1/2]
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: list(draw_box_point(np.random.default_rng(seed), **B_DRAW))),
+)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(_LISTS)
+def test_find_g_bit_identical_to_reference(vals):
+    s = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
+    got, want = sn.find_g(s), _find_g_reference(s)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.hex() == want.hex()
 
 
 def test_compute_klm_golden():

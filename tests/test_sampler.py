@@ -115,6 +115,15 @@ def test_csv_rows_parse_back():
         assert cells[8] == row.verdict.value
 
 
+def test_region_sample_is_a_tuple_in_csv_column_order():
+    assert ",".join(sn.RegionSample._fields) == sn.CSV_HEADER
+    rows = _collect(6, [0.1, 0.35])
+    for row in rows:
+        assert row == tuple(row)
+        assert row.csv_row().split(",")[:7] == [f"{x:.12g}" for x in row[:7]]
+    assert sn.RegionSample(*rows[0]) == rows[0]
+
+
 def test_decision_tag():
     assert sn.decision_tag(sn.classify(EX1)) == "pattern_a"
     with warnings.catch_warnings():

@@ -126,6 +126,15 @@ def test_verify_spectrum_rejects_bad_tolerance():
         sn.verify_spectrum(mat, EX1, rel_tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), float("-inf")])
+def test_verify_spectrum_refuses_a_non_finite_tolerance(tol):
+    # an infinite tolerance would pass any matrix against any target
+    diag = [[0.0] * 5 for _ in range(5)]
+    diag[4][4] = 1.0
+    with pytest.raises(ValueError, match=f"rel_tol .*got {tol}$"):
+        sn.verify_spectrum(diag, EX1, rel_tol=tol)
+
+
 def test_verify_report_json_shape():
     rep = sn.verify_spectrum(sn.build_pattern_a(EX1), EX1)
     payload = rep.to_json_dict()
