@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .classify import Certificate, RealizabilityDecision, Verdict, classify, realize
@@ -59,6 +60,18 @@ EXTERNAL_NOTES = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value, refused at parse time unless finite and positive:
+    an infinite tolerance would pass any matrix."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sniep5",
@@ -82,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--verify", action="store_true",
                    help="also construct and verify when a pattern applies")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("realize", help="print a realizing matrix if possible")
     add_spectrum(p)
     add_format(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("qroots", help="roots of the diagonal-parameter cubic")
     add_spectrum(p)
@@ -109,14 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--verify", action="store_true",
                    help="verify every constructive verdict")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("verify", help="check a matrix file against a spectrum")
     add_spectrum(p)
     add_format(p)
     p.add_argument("--matrix", required=True,
                    help="file with 5 rows of 5 numbers, or a JSON array")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     return parser
 

@@ -72,16 +72,20 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
     return CubicQ(*_q_coeffs(s))
 
 
-def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> list[float]:
-    """The roots clamped onto [0, e1/2], dropping any past the rounding slack.
+def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> float | None:
+    """The largest root within rounding slack of [0, e1/2], clamped onto it.
 
-    The interval is empty when e1 < 0, and then nothing is admitted.
+    The roots ascend.  The interval is empty when e1 < 0, and then nothing
+    is admitted.
     """
     half = 0.5 * elem_syms(s).e1
     if half < 0.0:
-        return []
+        return None
     slack = RANGE_SLACK * max(1.0, half)
-    return [min(max(x, 0.0), half) for x in roots if -slack <= x <= half + slack]
+    for x in reversed(roots):
+        if -slack <= x <= half + slack:
+            return min(max(x, 0.0), half)
+    return None
 
 
 def find_g(s: SortedSpectrum) -> float | None:
@@ -92,16 +96,9 @@ def find_g(s: SortedSpectrum) -> float | None:
     entries g and e1 - 2g never go negative by round-off alone.  Q is
     solved only when e1 >= 0.
     """
-    half = 0.5 * s.elem_syms.e1
-    if half < 0.0:
-        return None  # e1 < 0: the interval is empty, so Q is not solved
-    slack = RANGE_SLACK * max(1.0, half)
-    # roots ascend, so the first admitted one from the top is the largest;
-    # it is admitted and clamped exactly as _admit does
-    for x in reversed(cubic.real_roots(*_q_coeffs(s))):
-        if -slack <= x <= half + slack:
-            return min(max(x, 0.0), half)
-    return None
+    if 0.5 * s.elem_syms.e1 < 0.0:
+        return None  # the interval is empty, so Q is not solved
+    return _admit(s, cubic.real_roots(*_q_coeffs(s)))
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:
@@ -166,7 +163,7 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     admitted = _admit(s, (g,))
     checks = (
         ("g_is_a_root", abs(q(g)) <= q.residual_bound(g)),
-        ("g_in_range", bool(admitted)),
+        ("g_in_range", admitted is not None),
         *_region_checks(s),
     )
     report = ConditionReport(checks, g=g)
@@ -174,7 +171,7 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(report.failed)}", report.failed
         )
-    g = admitted[0]  # clamped onto [0, e1/2]
+    g = admitted  # clamped onto [0, e1/2]
     rows = pattern_b_entries(s, g)
     k = rows[1][4]
     if not k > 0.0:

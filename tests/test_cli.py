@@ -319,20 +319,32 @@ def test_verify_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
     code, text = run("verify", "--spectrum", EX1, "--matrix", str(path),
                      "--tol", tol)
     assert (code, text) == (2, "")
-    assert capsys.readouterr().err == (
-        f"error: rel_tol must be finite and positive, got {tol}\n")
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --tol: must be finite and positive, got {tol}\n")
 
 
 @pytest.mark.parametrize("argv", [
     ("check", "--spectrum", EX1, "--verify"),
     ("check", "--spectrum", EX2, "--verify", "--format", "json"),
     ("sample", "--grid", "6", "--t", "0.35", "--verify"),
+    # no matrix is ever verified here: the tolerance is refused all the same
+    ("check", "--spectrum", UNKNOWN, "--verify"),
+    ("sample", "--grid", "2", "--t", "0.0", "--verify"),
+    ("realize", "--spectrum", UNKNOWN),
 ])
-def test_verifying_commands_refuse_an_infinite_tolerance(capsys, argv):
-    code, text = run(*argv, "--tol", "inf")
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
+def test_tolerance_is_refused_at_parse_time(capsys, argv, tol):
+    code, text = run(*argv, "--tol", tol)
     assert (code, text) == (2, "")
-    assert capsys.readouterr().err == (
-        "error: rel_tol must be finite and positive, got inf\n")
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --tol: must be finite and positive, got {tol}\n")
+
+
+def test_tolerance_that_is_not_a_number_is_refused(capsys):
+    code, text = run("check", "--spectrum", EX1, "--verify", "--tol", "tight")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.endswith(
+        "error: argument --tol: not a number: 'tight'\n")
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

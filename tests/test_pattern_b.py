@@ -4,11 +4,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
-from sniep5.pattern_b import M_CLAMP_TOL, _admit, pattern_b_entries
+from sniep5.pattern_b import M_CLAMP_TOL, pattern_b_entries
 from support import assert_ident, draw_box_point, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -100,10 +100,23 @@ def test_find_g_picks_largest_admissible_root():
 
 
 def _find_g_reference(s):
-    """find_g as first written: Q through q_poly, every root through _admit,
-    then the last (largest) admitted one."""
-    q = sn.q_poly(s)
-    hits = _admit(s, sn.real_roots(q.c3, q.c2, q.c1, q.c0))
+    """find_g as first written, independent of the module's helpers: Q's
+    coefficients spelled out, every root admitted into a list, then the
+    last (largest) admitted one."""
+    _, _, l3, _, l5 = s.values
+    es = sn.elem_syms(s)
+    c3, c2, c1, c0 = (
+        2.0,
+        -2.0 * (l3 + l5),
+        -(es.e2 + (l3 - l5) ** 2),
+        es.e3 + es.e1 * (l3 * l3 + l5 * l5),
+    )
+    half = 0.5 * es.e1
+    if half < 0.0:
+        return None
+    slack = 1e-12 * max(1.0, half)
+    hits = [min(max(x, 0.0), half) for x in sn.real_roots(c3, c2, c1, c0)
+            if -slack <= x <= half + slack]
     return hits[-1] if hits else None
 
 
@@ -123,6 +136,9 @@ _LISTS = st.one_of(
 
 @settings(max_examples=800, deadline=None, derandomize=True)
 @given(_LISTS)
+# a root of Q at 0 up to rounding, and an e1 within the slack below 0
+@example(list(ON_NEGATED_PERRON_FACE.values))
+@example(list(E1_HAIR_BELOW_ZERO.values))
 def test_find_g_bit_identical_to_reference(vals):
     s = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
     got, want = sn.find_g(s), _find_g_reference(s)
