@@ -48,9 +48,7 @@ from .pattern_a import (
 )
 from .pattern_b import (
     CubicQ,
-    PatternBScalars,
     build_pattern_b,
-    compute_klm,
     find_g,
     pattern_b_conditions,
     q_poly,
@@ -62,9 +60,6 @@ from .spectrum import (
     SortedSpectrum,
     Spectrum,
     SymMatrix5,
-    check_mn,
-    check_pf,
-    check_trace,
     elem_syms,
     parse_spectrum,
     scale,
@@ -97,7 +92,6 @@ __all__ = [
     "NoConvergence",
     "NotTraceZero",
     "PatternAScalars",
-    "PatternBScalars",
     "PerturbedDecision",
     "Perturbation",
     "PreconditionViolated",
@@ -115,12 +109,8 @@ __all__ = [
     "build_pattern_a",
     "build_pattern_b",
     "char_poly_coeffs",
-    "check_mn",
-    "check_pf",
-    "check_trace",
     "classify",
     "classify_trace_zero",
-    "compute_klm",
     "compute_uvwr",
     "decide_perturbed",
     "decision_tag",

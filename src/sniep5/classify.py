@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from .errors import BoundaryProximityWarning, NotTraceZero
 from .pattern_a import build_pattern_a, pattern_a_conditions
 from .pattern_b import build_pattern_b, pattern_b_conditions
-from .spectrum import (
-    SortedSpectrum,
-    SymMatrix5,
-    check_mn,
-    check_pf,
-    check_trace,
-    elem_syms,
-)
+from .spectrum import SortedSpectrum, SymMatrix5
 
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
@@ -148,14 +141,15 @@ def _decided(
 
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """Decide realizability of a descending spectrum; first matching rule wins."""
-    l1, l2, l3, _, l5 = s.values
+    l1, l2, l3, l4, l5 = s.values
     det = DecisionDetails(s)
 
-    if not check_pf(s):
+    # lam1 dominates every |lam_i|, which in descending order is these two
+    if not (l1 >= 0.0 and l1 >= -l5):
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det)
-    if not check_trace(s):
+    if not s.elem_syms.e1 >= 0.0:
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_VIOLATED, det)
-    if not check_mn(s):
+    if not l1 + l3 + l4 >= 0.0:
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.MN_VIOLATED, det)
     if l2 <= 0.0:
         return _decided(Verdict.REALIZABLE, Certificate.SULEIMANOVA, None, det)
@@ -199,7 +193,7 @@ def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | 
 
 def is_trace_zero(s: SortedSpectrum) -> bool:
     """The sum is zero up to 1e-12 * max|lam_i|."""
-    return abs(elem_syms(s).e1) <= TRACE_ZERO_TOL * max(abs(v) for v in s.values)
+    return abs(s.elem_syms.e1) <= TRACE_ZERO_TOL * max(abs(v) for v in s.values)
 
 
 def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
@@ -213,7 +207,7 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     if l5 < -l1:
         raise ValueError("trace-zero characterization needs lam5 >= -lam1")
     if not is_trace_zero(s):
-        raise NotTraceZero(f"sum is {elem_syms(s).e1}, not zero")
+        raise NotTraceZero(f"sum is {s.elem_syms.e1}, not zero")
     det = DecisionDetails(s)
     # fsum: the sign of a sum that cancels must not depend on the Python
     # version (3.12's sum() is compensated, 3.11's is not)

@@ -23,7 +23,7 @@ from .spectrum import (
     PatternAScalars,
     SortedSpectrum,
     SymMatrix5,
-    elem_syms,
+    _region_checks,
 )
 
 
@@ -35,20 +35,12 @@ def compute_uvwr(s: SortedSpectrum) -> PatternAScalars:
 def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
     """Gate for the five-cycle construction.
 
-    All four checks are exact floating comparisons; passing them implies
-    u > 0, v > 0 and w >= 0, so every square root and division in the
-    matrix assembly is well defined and the result is nonnegative.
+    The region checks shared with the two-paths gate, then r >= 0.  All
+    four are exact floating comparisons; passing them implies u > 0, v > 0
+    and w >= 0, so every square root and division in the matrix assembly
+    is well defined and the result is nonnegative.
     """
-    l1, _, l3, _, l5 = s.values
-    e1 = elem_syms(s).e1
-    r = compute_uvwr(s).r
-    checks = (
-        ("trace_nonnegative", e1 >= 0.0),
-        ("min_above_negated_perron", l5 > -l1),
-        ("third_exceeds_trace", l3 > e1),
-        ("r_nonnegative", r >= 0.0),
-    )
-    return ConditionReport(checks)
+    return ConditionReport((*_region_checks(s), ("r_nonnegative", s.uvwr.r >= 0.0)))
 
 
 def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
@@ -58,7 +50,7 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
     the validity region; the result is real whenever u > 0 and v >= 0, but
     individual entries may then be negative.
     """
-    sc = compute_uvwr(s)
+    sc = s.uvwr
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
     if sc.u < 0.0 or sc.v < 0.0:
@@ -68,7 +60,7 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
     a25 = math.sqrt(sc.v) / sc.u
     a35 = sc.r / sc.u
     return (
-        (elem_syms(s).e1, 0.0, a13, 0.0, a13),
+        (s.elem_syms.e1, 0.0, a13, 0.0, a13),
         (0.0, 0.0, 0.0, a24, a25),
         (a13, 0.0, 0.0, a25, a35),
         (0.0, a24, a25, 0.0, 0.0),
@@ -78,7 +70,7 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
 
 def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
     """Construct the realizing five-cycle matrix for a gated spectrum."""
-    sc = compute_uvwr(s)
+    sc = s.uvwr
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
     report = pattern_a_conditions(s)

@@ -13,6 +13,8 @@ lying in [0, e1/2].  With
 
 the sparse symmetric matrix in :func:`pattern_b_entries` realizes the
 spectrum whenever the gate in :func:`pattern_b_conditions` passes.
+:func:`compute_klm` gives (k, l, m) as a plain tuple.  The gate and the
+builder apply the region checks of the five-cycle gate, in its order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from . import cubic
 from .errors import NegativeRadicand, PreconditionViolated
-from .spectrum import ConditionReport, SortedSpectrum, SymMatrix5, elem_syms
+from .spectrum import ConditionReport, SortedSpectrum, SymMatrix5, _region_checks
 
 # slack for deciding whether a computed root sits inside [0, e1/2]; the
 # selected g is clamped back into the closed range afterwards
@@ -48,14 +50,6 @@ class CubicQ:
         return cubic.residual_bound(self.c3, self.c2, self.c1, self.c0, root)
 
 
-@dataclass(frozen=True)
-class PatternBScalars:
-    k: float
-    l: float
-    m: float
-    g: float
-
-
 def _q_coeffs(s: SortedSpectrum) -> tuple[float, float, float, float]:
     """Q's coefficients c3, c2, c1, c0 as a plain tuple."""
     _, _, l3, _, l5 = s.values
@@ -78,7 +72,7 @@ def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> float | None:
     The roots ascend.  The interval is empty when e1 < 0, and then nothing
     is admitted.
     """
-    half = 0.5 * elem_syms(s).e1
+    half = 0.5 * s.elem_syms.e1
     if half < 0.0:
         return None
     slack = RANGE_SLACK * max(1.0, half)
@@ -101,24 +95,14 @@ def find_g(s: SortedSpectrum) -> float | None:
     return _admit(s, cubic.real_roots(*_q_coeffs(s)))
 
 
-def compute_klm(s: SortedSpectrum, g: float) -> PatternBScalars:
-    """Evaluate the three entry scalars at a given diagonal parameter."""
+def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:
+    """The three entry scalars (k, l, m) at a given diagonal parameter."""
     _, _, l3, _, l5 = s.values
-    es = elem_syms(s)
-    k = g - l3 - l5
-    l = (g - l3) * (l5 - g)
-    m = -g * g + es.e1 * g - 0.5 * (es.e2 + l3 * l3 + l5 * l5)
-    return PatternBScalars(k, l, m, g)
-
-
-def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
-    """The gate's checks on the spectrum itself; the builder reuses them."""
-    l1, _, l3, _, l5 = s.values
-    e1 = elem_syms(s).e1
+    e1, e2, _, _, _ = s.elem_syms
     return (
-        ("min_above_negated_perron", l5 > -l1),
-        ("trace_nonnegative", e1 >= 0.0),
-        ("third_exceeds_trace", l3 > e1),
+        g - l3 - l5,
+        (g - l3) * (l5 - g),
+        -g * g + e1 * g - 0.5 * (e2 + l3 * l3 + l5 * l5),
     )
 
 
@@ -141,19 +125,20 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
     clamped to 0; entries may still be negative for g outside the validity
     region.
     """
-    sc = compute_klm(s, g)
-    e1 = elem_syms(s).e1
-    m = 0.0 if -M_CLAMP_TOL * max(1.0, e1 * e1) <= sc.m < 0.0 else sc.m
-    if sc.l < 0.0 or m < 0.0:
-        raise NegativeRadicand(f"complex entries at l={sc.l}, m={m}")
-    sl = math.sqrt(sc.l)
+    k, l, m = compute_klm(s, g)
+    e1 = s.elem_syms.e1
+    if -M_CLAMP_TOL * max(1.0, e1 * e1) <= m < 0.0:
+        m = 0.0
+    if l < 0.0 or m < 0.0:
+        raise NegativeRadicand(f"complex entries at l={l}, m={m}")
+    sl = math.sqrt(l)
     sm = math.sqrt(m)
     return (
         (g, sl, sm, 0.0, 0.0),
-        (sl, 0.0, 0.0, 0.0, sc.k),
+        (sl, 0.0, 0.0, 0.0, k),
         (sm, 0.0, e1 - 2.0 * g, sm, 0.0),
         (0.0, 0.0, sm, g, sl),
-        (0.0, sc.k, 0.0, sl, 0.0),
+        (0.0, k, 0.0, sl, 0.0),
     )
 
 

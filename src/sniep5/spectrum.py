@@ -1,18 +1,17 @@
-"""Core value types and the basic necessary conditions for realizability.
+"""Core value types: spectra, their stored invariants, and matrices.
 
 A *spectrum* here is always a list of five real numbers, the candidate
 eigenvalues of a symmetric entrywise-nonnegative 5x5 matrix.  This module
 holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
 :class:`ElemSyms`, :class:`PatternAScalars`, :class:`SymMatrix5`,
-:class:`ConditionReport`), the elementary symmetric polynomials and the
-five-cycle scalars u/v/w/r, and the three cheap necessary conditions every
-realizable spectrum must satisfy.
+:class:`ConditionReport`), the elementary symmetric polynomials, the
+five-cycle scalars u/v/w/r, and the region checks both pattern gates share.
 
 A spectrum computes e1..e5 (and a sorted one u/v/w/r) on first read and
-writes them into its own ``__dict__``; later reads find them there, with no
-lock.  The expansion is written out factor by factor, so each e_k comes
-out bit-identical to the loop ``nxt[i] += c; nxt[i + 1] -= c * lam`` over
-the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
+stores them on itself with ``object.__setattr__``; later reads find them
+there, with no lock and no per-instance dict.  The expansion is written
+out factor by factor, so each e_k comes out bit-identical to the loop
+``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
 ``NamedTuple``s and so compare equal to plain tuples.
 """
 
@@ -35,11 +34,13 @@ _TEXT = (str, bytes, bytearray)
 
 
 class _stored:
-    """A method run on first read whose result is written into the instance
-    ``__dict__`` under the method's name, where every later read finds it.
+    """A method run on first read whose result is stored on the instance
+    under the method's name, where every later read finds it.
 
-    ``functools.cached_property`` does the same but takes a lock on every
-    first read before Python 3.12.
+    The store goes through ``object.__setattr__``, which gets past a frozen
+    dataclass and, unlike a write into ``__dict__``, keeps the compact
+    instance layout.  ``functools.cached_property`` writes into ``__dict__``
+    and takes a lock on every first read before Python 3.12.
     """
 
     def __init__(self, func):
@@ -49,7 +50,8 @@ class _stored:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
         return value
 
 
@@ -215,7 +217,7 @@ def _checked_sorted(values: tuple) -> SortedSpectrum:
     order, such as a checked ``Spectrum``'s values sorted largest first.
     """
     out = object.__new__(SortedSpectrum)
-    out.__dict__["values"] = values
+    object.__setattr__(out, "values", values)
     return out
 
 
@@ -242,28 +244,6 @@ def scale(s: Spectrum, alpha: float) -> Spectrum:
     return type(s)(tuple(alpha * v for v in s.values))
 
 
-def check_pf(s: SortedSpectrum) -> bool:
-    """Largest entry dominates: lam1 >= |lam_i| for every i.
-
-    Given the descending order this reduces to lam1 >= 0 and lam1 >= -lam5.
-    """
-    return s.lam1 >= 0.0 and s.lam1 >= -s.lam5
-
-
-def check_trace(s: Spectrum) -> bool:
-    """Nonnegative sum.
-
-    Evaluated as e1 from :func:`elem_syms` so this test can never disagree
-    with the e1-based gates used elsewhere in the package.
-    """
-    return elem_syms(s).e1 >= 0.0
-
-
-def check_mn(s: SortedSpectrum) -> bool:
-    """The partial sum lam1 + lam3 + lam4 is nonnegative."""
-    return s.lam1 + s.lam3 + s.lam4 >= 0.0
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of a bundle of named condition checks.
@@ -285,6 +265,17 @@ class ConditionReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
+    """The region conditions both pattern gates and builders share, in order."""
+    l1, _, l3, _, l5 = s.values
+    e1 = s.elem_syms.e1
+    return (
+        ("min_above_negated_perron", l5 > -l1),
+        ("trace_nonnegative", e1 >= 0.0),
+        ("third_exceeds_trace", l3 > e1),
+    )
 
 
 _PATTERN_PROVENANCE = ("pattern_a", "pattern_b")

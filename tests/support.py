@@ -1,11 +1,13 @@
-"""Shared test helpers: brute-force oracles and region samplers.
+"""Shared test helpers: brute-force oracles, region samplers, a byte count.
 
 Everything here is deliberately independent of the package internals it is
 used to check. The elementary symmetric oracle enumerates subsets, the
 samplers draw from the normalized parameter box by rejection.
 """
+import gc
 import itertools
 import math
+import tracemalloc
 
 from sniep5 import (
     Perturbation,
@@ -117,3 +119,24 @@ def closure_size(s, i, passes, max_halvings=200):
             return size
         size /= 2.0
     return None
+
+
+def bytes_each(build, n=2000):
+    """Traced bytes per result of ``build()`` with ``n`` results kept.
+
+    Counted after a few warm-up calls and a full collection, which empties
+    the free lists, so each result is a fresh allocation.
+    """
+    for _ in range(8):
+        build()
+    kept = [build()] * n
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            kept[i] = build()
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return used / n

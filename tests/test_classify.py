@@ -1,7 +1,6 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
 import hashlib
 import random
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
-from support import poly_from_roots, sample_until
+from support import bytes_each, poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -41,17 +40,29 @@ def test_golden_pattern_b():
     assert d.details.r == -127980.0
 
 
-@pytest.mark.parametrize("vals,reason", [
-    ((-1.0, -2.0, -3.0, -4.0, -5.0), Reason.PF_VIOLATED),
-    ((1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED),
-    ((1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED),
-    ((3.0, 2.9, -1.9, -2.0, -2.0), Reason.MN_VIOLATED),
+@pytest.mark.parametrize("vals,reason,holds", [
+    # Perron dominance: lam1 >= 0 and lam1 >= -lam5
+    (EX1.values, Reason.PF_VIOLATED, True),
+    ((1.0, 0.5, 0.0, -0.5, -1.0), Reason.PF_VIOLATED, True),    # lam1 == -lam5
+    ((1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED, False),
+    ((-1.0, -2.0, -3.0, -4.0, -5.0), Reason.PF_VIOLATED, False),
+    # nonnegative trace e1
+    (EX1.values, Reason.TRACE_VIOLATED, True),
+    ((2.0, 1.0, 0.0, -1.0, -2.0), Reason.TRACE_VIOLATED, True),  # e1 == 0
+    ((1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED, False),
+    # lam1 + lam3 + lam4 >= 0
+    (EX1.values, Reason.MN_VIOLATED, True),
+    ((1.0, 1.0, -0.4, -0.6, -1.0), Reason.MN_VIOLATED, True),    # sum == 0
+    ((3.0, 2.9, -1.9, -2.0, -2.0), Reason.MN_VIOLATED, False),
 ])
-def test_not_realizable_reasons(vals, reason):
+def test_necessary_condition_reasons(vals, reason, holds):
     d = sn.classify(sn.SortedSpectrum(vals))
-    assert d.verdict is Verdict.NOT_REALIZABLE
-    assert d.reason is reason
-    assert d.certificate is None
+    if holds:
+        assert d.reason is not reason
+    else:
+        assert d.verdict is Verdict.NOT_REALIZABLE
+        assert d.reason is reason
+        assert d.certificate is None
 
 
 @pytest.mark.parametrize("vals,cert", [
@@ -94,7 +105,7 @@ def test_unknown_golden_and_coverage():
     # undecided points must sit outside every rule, not just fall through
     s = UNKNOWN_GOLDEN
     e1 = sn.elem_syms(s).e1
-    assert sn.check_pf(s) and sn.check_trace(s) and sn.check_mn(s)
+    assert s.lam1 >= -s.lam5 and e1 >= 0.0 and s.lam1 + s.lam3 + s.lam4 >= 0.0
     assert s.lam2 > 0.0 and s.lam3 > e1
     assert s.lam5 != -s.lam1
     assert "r_nonnegative" in sn.pattern_a_conditions(s).failed
@@ -411,20 +422,8 @@ def test_internal_decisions_keep_the_compact_layout():
     # bytes per decision from _decided and from the constructor; reading
     # __dict__ would materialize a per-instance dict, about 60 bytes more
     det = sn.DecisionDetails(EX1)
-
-    def per_decision(build, n=2000):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            kept = [build() for _ in range(n)]
-            used = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert len(kept) == n
-        return used / n
-
-    internal = per_decision(lambda: _decided(
+    internal = bytes_each(lambda: _decided(
         Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det))
-    public = per_decision(lambda: sn.RealizabilityDecision(
+    public = bytes_each(lambda: sn.RealizabilityDecision(
         Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED, details=det))
     assert internal <= public + 16, (internal, public)

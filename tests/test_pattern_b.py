@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
-from sniep5.pattern_b import M_CLAMP_TOL, pattern_b_entries
+from sniep5.pattern_b import M_CLAMP_TOL, compute_klm, pattern_b_entries
 from support import assert_ident, draw_box_point, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -148,18 +148,18 @@ def test_find_g_bit_identical_to_reference(vals):
 
 
 def test_compute_klm_golden():
-    sc = sn.compute_klm(EX2, EX2_G)
-    npt.assert_allclose(sc.k, 557.2391939315232, rtol=1e-12)
-    npt.assert_allclose(sc.l, 178157.0920223196, rtol=1e-10)
-    npt.assert_allclose(sc.m, 211369.42117412615, rtol=1e-10)
-    assert sc.g == EX2_G
+    k, l, m = compute_klm(EX2, EX2_G)
+    npt.assert_allclose(k, 557.2391939315232, rtol=1e-12)
+    npt.assert_allclose(l, 178157.0920223196, rtol=1e-10)
+    npt.assert_allclose(m, 211369.42117412615, rtol=1e-10)
     # direct forms
-    assert sc.k == EX2_G - EX2.lam3 - EX2.lam5
-    assert sc.l == (EX2_G - EX2.lam3) * (EX2.lam5 - EX2_G)
+    assert k == EX2_G - EX2.lam3 - EX2.lam5
+    assert l == (EX2_G - EX2.lam3) * (EX2.lam5 - EX2_G)
 
 
 def test_compute_klm_l_vanishes_at_lambda3():
-    assert sn.compute_klm(EX2, EX2.lam3).l == 0.0
+    _, l, _ = compute_klm(EX2, EX2.lam3)
+    assert l == 0.0
 
 
 def test_conditions_golden():
@@ -182,10 +182,10 @@ def test_build_golden_entries():
     assert mat.provenance == "pattern_b"
     npt.assert_allclose(np.diag(b), [EX2_G, 0.0, 350.0 - 2.0 * EX2_G, EX2_G, 0.0],
                         rtol=1e-12, atol=0)
-    sc = sn.compute_klm(EX2, EX2_G)
-    npt.assert_allclose([b[0, 1], b[3, 4]], math.sqrt(sc.l), rtol=1e-12)
-    npt.assert_allclose([b[0, 2], b[2, 3]], math.sqrt(sc.m), rtol=1e-12)
-    npt.assert_allclose(b[1, 4], sc.k, rtol=1e-12)
+    k, l, m = compute_klm(EX2, EX2_G)
+    npt.assert_allclose([b[0, 1], b[3, 4]], math.sqrt(l), rtol=1e-12)
+    npt.assert_allclose([b[0, 2], b[2, 3]], math.sqrt(m), rtol=1e-12)
+    npt.assert_allclose(b[1, 4], k, rtol=1e-12)
     for i, j in ((0, 3), (0, 4), (1, 2), (1, 3), (2, 4)):
         assert b[i, j] == 0.0
     assert np.all(b == b.T)
@@ -215,10 +215,11 @@ def test_entries_clamp_slightly_negative_m():
     s = sn.sort_descending(sn.Spectrum((-0.0005149, 0.0009764000000000001,
                                         0.0009746, -0.0006202, 0.0009056)))
     g = 0.00036991160653442257
-    assert -M_CLAMP_TOL < sn.compute_klm(s, g).m < 0.0
+    _, l, m = compute_klm(s, g)
+    assert -M_CLAMP_TOL < m < 0.0
     b = pattern_b_entries(s, g)
     assert b[0][2] == b[2][3] == 0.0
-    assert b[0][1] == math.sqrt(sn.compute_klm(s, g).l)
+    assert b[0][1] == math.sqrt(l)
 
 
 @pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
@@ -270,8 +271,7 @@ def test_closed_form_coefficient_identities():
         e1, e2, e3, e4, e5 = sn.elem_syms(s).as_tuple()
         l3, l5 = s.lam3, s.lam5
         g = rng.uniform(-5.0, 5.0)
-        sc = sn.compute_klm(s, g)
-        k, l, m = sc.k, sc.l, sc.m
+        k, l, m = compute_klm(s, g)
         qg = sn.q_poly(s)(g)
         assert_ident(-(k * k) - 2 * l - 2 * m + 2 * g * e1 - 3 * g * g, e2,
                      1e-9, scale=_terms_scale(k * k, l, m, g * e1, g * g))
