@@ -23,6 +23,7 @@ from .spectrum import (
     PatternAScalars,
     SortedSpectrum,
     SymMatrix5,
+    _built_matrix,
     _region_checks,
 )
 
@@ -81,4 +82,4 @@ def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
         )
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")
-    return SymMatrix5(pattern_a_entries(s), provenance="pattern_a")
+    return _built_matrix(pattern_a_entries(s), "pattern_a")

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 from . import cubic
 from .errors import NegativeRadicand, PreconditionViolated
-from .spectrum import ConditionReport, SortedSpectrum, SymMatrix5, _region_checks
+from .spectrum import (
+    ConditionReport,
+    SortedSpectrum,
+    SymMatrix5,
+    _built_matrix,
+    _region_checks,
+)
 
 # slack for deciding whether a computed root sits inside [0, e1/2]; the
 # selected g is clamped back into the closed range afterwards
@@ -144,21 +150,26 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
-    q = q_poly(s)
+    c3, c2, c1, c0 = _q_coeffs(s)
     admitted = _admit(s, (g,))
     checks = (
-        ("g_is_a_root", abs(q(g)) <= q.residual_bound(g)),
+        ("g_is_a_root", abs(cubic.evaluate(c3, c2, c1, c0, g))
+         <= cubic.residual_bound(c3, c2, c1, c0, g)),
         ("g_in_range", admitted is not None),
         *_region_checks(s),
     )
-    report = ConditionReport(checks, g=g)
-    if not report.passed:
+    if not all([ok for _, ok in checks]):
+        failed = ConditionReport(checks, g=g).failed
         raise PreconditionViolated(
-            f"two-paths gate failed: {', '.join(report.failed)}", report.failed
+            f"two-paths gate failed: {', '.join(failed)}", failed
         )
     g = admitted  # clamped onto [0, e1/2]
     rows = pattern_b_entries(s, g)
     k = rows[1][4]
     if not k > 0.0:
         raise NegativeRadicand(f"entry scalar out of range at g={g}: k={k}")
-    return SymMatrix5(rows, provenance="pattern_b")
+    if type(g) is not float:
+        # a numpy or int g leaves entries of its type; the public
+        # constructor converts them to Python floats
+        return SymMatrix5(rows, provenance="pattern_b")
+    return _built_matrix(rows, "pattern_b")

@@ -221,6 +221,28 @@ def _checked_sorted(values: tuple) -> SortedSpectrum:
     return out
 
 
+def _built_matrix(rows: tuple, provenance: str) -> SymMatrix5:
+    """A ``SymMatrix5`` of a pattern builder's rows without the generic checks.
+
+    Only for five 5-tuples of Python floats that are exactly symmetric by
+    construction, as ``pattern_a_entries`` and ``pattern_b_entries`` write
+    them, so the conversion, shape and symmetry checks have nothing to
+    find.  The two checks such rows can still fail stay, with the public
+    constructor's messages: an overflowed scalar gives a non-finite entry,
+    and a negative entry refutes the ``provenance`` tag.
+    """
+    r0, r1, r2, r3, r4 = rows
+    flat = (*r0, *r1, *r2, *r3, *r4)
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("matrix has non-finite entries")
+    if min(flat) < 0.0:
+        raise ValueError(f"{provenance} matrix has a negative entry")
+    out = object.__new__(SymMatrix5)
+    object.__setattr__(out, "entries", rows)
+    object.__setattr__(out, "provenance", provenance)
+    return out
+
+
 def elem_syms(s: Spectrum) -> ElemSyms:
     """Elementary symmetric polynomials via iterated polynomial multiplication.
 
@@ -300,6 +322,12 @@ class SymMatrix5:
     ``float()`` from nested sequences or an ndarray (not from text rows).  It
     cannot change, so ``sym_eigenvalues`` can store its result on the
     matrix without it ever going stale.  ``np.asarray(m)`` is a fresh copy.
+
+    The constructor checks shape, finiteness, exact symmetry and, for the
+    two pattern tags, nonnegativity.  The pattern builders go through
+    :func:`_built_matrix`, which skips the conversion, shape and symmetry
+    checks, since their rows are floats symmetric by construction, and
+    keeps finiteness and nonnegativity.
     """
 
     entries: tuple[tuple[float, ...], ...]

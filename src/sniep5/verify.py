@@ -2,17 +2,19 @@
 
 Two routes that share no code with the matrix constructors: the
 characteristic polynomial through the trace recurrence on matrix powers
-(numpy's only use here), and eigenvalues through a pure-Python cyclic
+(numpy's only use here: the products are numpy's, the traces are summed in
+Python with numpy's bits), and eigenvalues through a pure-Python cyclic
 Jacobi iteration.  The Jacobi kernel is written out over the 15
-upper-triangle entries: :class:`SymMatrix5` refuses a matrix that is not
-exactly symmetric, so the lower triangle holds nothing more.  Its Frobenius
-norm stays a ``sum()``, so its bits match the looped kernel kept in the
-tests on every Python version.  ``verify_spectrum`` compares Jacobi
-eigenvalues against a target spectrum; ``entry_bound_check`` confirms the
-entries of a symmetric nonnegative matrix stay inside [0, spectral radius].
-Plain input is first made a :class:`SymMatrix5`, with its checks; that value
-stores its Jacobi eigenvalues, so both checks share one Jacobi run and the
-same bits.
+upper-triangle entries: a :class:`SymMatrix5` is exactly symmetric (its
+constructor refuses anything else, and the pattern builders write each
+mirrored pair from one value), so the lower triangle holds nothing more.
+Its Frobenius norm stays a ``sum()``, so its bits match the looped kernel
+kept in the tests on every Python version.  ``verify_spectrum`` compares
+Jacobi eigenvalues against a target spectrum, in any order;
+``entry_bound_check`` confirms the entries of a symmetric nonnegative
+matrix stay inside [0, spectral radius].  Plain input is first made a
+:class:`SymMatrix5`, with its checks; that value stores its Jacobi
+eigenvalues, so both checks share one Jacobi run and the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .spectrum import SortedSpectrum, SymMatrix5
+from .spectrum import SortedSpectrum, Spectrum, SymMatrix5, sort_descending
 
 OFF_NORM_TOL = 1e-13
 MAX_SWEEPS = 30
@@ -46,15 +48,23 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
     an eigendecomposition: with n1 = M and a1 = -tr(n1),
 
         n_k = M (n_{k-1} + a_{k-1} I),   a_k = -tr(n_k)/k.
+
+    The products stay numpy's, whose bits a Python dot product does not
+    reproduce.  Each trace is summed in Python over the diagonal read back
+    as floats, as ``0.0 + d00 + ... + d44``.  That matches numpy's
+    ``trace()`` bit for bit; the leading ``0.0`` makes a diagonal of
+    negative zeros sum to +0.0, as ``trace()`` does.
     """
-    a = np.array(_matrix(m).entries)
-    coeffs = [1.0]
+    r = _matrix(m).entries
+    a = np.array(r)
+    dot = a.dot
+    c = -(0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3] + r[4][4])
+    coeffs = [1.0, c]
     n = a
-    c = -float(n.trace())
-    coeffs.append(c)
     for k in range(2, 6):
-        n = a @ (n + c * _EYE)
-        c = -float(n.trace()) / k
+        n = dot(n + c * _EYE)
+        r = n.tolist()
+        c = -(0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3] + r[4][4]) / k
         coeffs.append(c)
     return tuple(coeffs)
 
@@ -62,8 +72,8 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
 def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
     """Row-cyclic Jacobi over the upper triangle of ``rows``, held in locals.
 
-    Every caller passes the rows of a :class:`SymMatrix5`, which refuses a
-    matrix that is not exactly symmetric, so entry (i, j) lives in one local,
+    Every caller passes the rows of a :class:`SymMatrix5`, which is exactly
+    symmetric, so entry (i, j) lives in one local,
     ``a{min(i,j)}{max(i,j)}``.  A sweep is the ten rotations (0, 1), (0, 2),
     ..., (3, 4) written out in that order, each skipped when its pivot is
     0.0 and each mixing the three other rows.  Mirrored zeros of opposite
@@ -71,9 +81,9 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
     zero's sign can only change the sign of another zero, and a zero is
     never a pivot.
 
-    ``fro`` stays a ``sum()`` over all 25 squares in row-major order,
-    because Python 3.12's ``sum()`` of floats is compensated and a ``+``
-    chain would round differently there.
+    ``fro`` stays a ``sum()`` over all 25 squares in row-major order, each
+    mirrored square written twice, because Python 3.12's ``sum()`` of floats
+    is compensated and a ``+`` chain would round differently there.
     """
     sqrt = math.sqrt
     (
@@ -83,7 +93,16 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
         (_, _, _, a33, a34),
         (_, _, _, _, a44),
     ) = rows
-    fro = sqrt(sum(x * x for row in rows for x in row))
+    s01, s02, s03, s04 = a01 * a01, a02 * a02, a03 * a03, a04 * a04
+    s12, s13, s14 = a12 * a12, a13 * a13, a14 * a14
+    s23, s24, s34 = a23 * a23, a24 * a24, a34 * a34
+    fro = sqrt(sum((
+        a00 * a00, s01, s02, s03, s04,
+        s01, a11 * a11, s12, s13, s14,
+        s02, s12, a22 * a22, s23, s24,
+        s03, s13, s23, a33 * a33, s34,
+        s04, s14, s24, s34, a44 * a44,
+    )))
     thresh = OFF_NORM_TOL * (1.0 + fro)
     for sweep in range(max_sweeps + 1):
         off = (
@@ -264,15 +283,19 @@ class VerificationReport:
         }
 
 
-def verify_spectrum(m, s: SortedSpectrum, rel_tol: float = 1e-9) -> VerificationReport:
+def verify_spectrum(m, s: Spectrum, rel_tol: float = 1e-9) -> VerificationReport:
     """Compare the eigenvalues of ``m`` against the target spectrum.
 
-    Passes when every pairwise deviation stays within
-    ``rel_tol * max(1, |lam1|)`` of the target.  ``rel_tol`` must be finite
-    and positive: an infinite tolerance would pass any matrix.
+    A target that is not a :class:`SortedSpectrum` is sorted largest first,
+    so its entries may come in any order.  Passes when every pairwise
+    deviation stays within ``rel_tol * max(1, |lam1|)`` of the target.
+    ``rel_tol`` must be finite and positive: an infinite tolerance would
+    pass any matrix.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if not isinstance(s, SortedSpectrum):
+        s = sort_descending(s)  # eigenvalues are a multiset
     eigs = sym_eigenvalues(m)
     dev = max(abs(a - b) for a, b in zip(eigs.values, s.values))
     bound = rel_tol * max(1.0, abs(s.lam1))
@@ -285,7 +308,9 @@ def entry_bound_check(m) -> bool:
     Checked with slack ``1e-12 * (1 + rho)`` on both sides.
     """
     m = _matrix(m)
-    rho = max(abs(x) for x in sym_eigenvalues(m).values)
+    vals = sym_eigenvalues(m).values
+    rho = max(vals[0], -vals[4])  # the descending ends hold the largest |x|
     slack = ENTRY_SLACK * (1.0 + rho)
-    rows = m.entries
-    return -slack <= min(map(min, rows)) and max(map(max, rows)) <= rho + slack
+    r0, r1, r2, r3, r4 = m.entries
+    flat = (*r0, *r1, *r2, *r3, *r4)
+    return -slack <= min(flat) and max(flat) <= rho + slack

@@ -198,6 +198,19 @@ def test_build_golden_spectrum():
     assert rep.passed
 
 
+@pytest.mark.parametrize("g", [np.float64(EX2_G), np.float32(EX2_G)],
+                         ids=["float64", "float32"])
+def test_build_writes_python_float_rows_for_a_numpy_g(g):
+    # the builder's rows skip the public float() conversion, so a numpy g
+    # must give the rows the public constructor would have stored
+    mat = sn.build_pattern_b(EX2, g)
+    assert all(type(x) is float for row in mat.entries for x in row)
+    rows = pattern_b_entries(EX2, g)
+    public = sn.SymMatrix5(rows, provenance="pattern_b")
+    assert [x.hex() for row in mat.entries for x in row] == \
+        [x.hex() for row in public.entries for x in row]
+
+
 def test_build_rejects_non_root():
     with pytest.raises(sn.PreconditionViolated) as exc:
         sn.build_pattern_b(EX2, 50.0)

@@ -12,7 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
-from support import assert_ident, bytes_each, esym_bruteforce, poly_from_roots
+from sniep5.spectrum import _built_matrix
+from support import (
+    assert_ident,
+    bytes_each,
+    esym_bruteforce,
+    poly_from_roots,
+    sample_until,
+)
 
 EX1 = (1000.0, 381.0, 360.0, -641.0, -750.0)
 EX1_ESYMS = (350.0, -1062821.0, -247374810.0, 231385860000.0, 65939670000000.0)
@@ -392,6 +399,56 @@ def test_sym_matrix_json_round_trip():
     json.loads(payload)  # must be valid on its own
     again = sn.SymMatrix5.parse(payload)
     npt.assert_array_equal(again.entries, m.entries)
+
+
+# the first draws of acceptance suites 04 and 05: seed, gate, builder, box
+SUITE_DRAWS = {
+    "pattern_a": (20240, sn.pattern_a_conditions, sn.build_pattern_a, {}),
+    "pattern_b": (20241, sn.pattern_b_conditions,
+                  lambda s: sn.build_pattern_b(s, sn.find_g(s)),
+                  dict(t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3)),
+}
+
+
+@pytest.mark.parametrize("provenance", sorted(SUITE_DRAWS))
+def test_builder_rows_match_the_public_constructor(provenance):
+    seed, gate, build, draw_kw = SUITE_DRAWS[provenance]
+    rng = np.random.default_rng(seed)
+    for s in sample_until(rng, lambda s: bool(gate(s)), 2000, **draw_kw):
+        m = build(s)
+        assert m.provenance == provenance
+        rows = m.entries
+        assert type(rows) is tuple and len(rows) == 5
+        assert all(type(row) is tuple and len(row) == 5 for row in rows)
+        assert all(type(x) is float for row in rows for x in row)
+        assert rows == tuple(zip(*rows))
+        again = sn.SymMatrix5(rows, provenance=m.provenance)
+        assert [[x.hex() for x in row] for row in again.entries] == \
+            [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (math.nan, "matrix has non-finite entries"),
+    (math.inf, "matrix has non-finite entries"),
+    (-1.0, "pattern_b matrix has a negative entry"),
+])
+def test_builder_matrix_keeps_the_checks_that_can_fail(bad, message):
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[1][3] = rows[3][1] = bad
+    rows = tuple(map(tuple, rows))
+    for make in (_built_matrix, lambda r, p: sn.SymMatrix5(r, provenance=p)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(rows, "pattern_b")
+
+
+def test_realize_reports_an_overflowed_five_cycle_entry():
+    # classify certifies the list, but v, a product of six sums, overflows
+    s = sn.sort_descending(
+        sn.parse_spectrum("1e52,0.381e52,0.36e52,-0.641e52,-0.75e52"))
+    decision = sn.classify(s)
+    assert decision.certificate is sn.Certificate.PATTERN_A
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        sn.realize(s, decision)
 
 
 def test_sym_matrix_parse_rejects_asymmetric_text():

@@ -109,6 +109,20 @@ def test_verify_spectrum_fails_on_wrong_target():
     assert rep.max_deviation >= 0.9
 
 
+@pytest.mark.parametrize("order", [(1, 0, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1)])
+def test_verify_spectrum_sorts_an_unsorted_target(order):
+    # eigenvalues are a multiset: a target in any order is compared sorted
+    mat = sn.build_pattern_a(EX1)
+    right = sn.Spectrum(tuple(EX1.values[i] for i in order))
+    rep = sn.verify_spectrum(mat, right)
+    assert rep.passed
+    assert rep.target == EX1.values
+    wrong = (1000.0, 382.0, 360.0, -641.0, -750.0)
+    rep = sn.verify_spectrum(mat, sn.Spectrum(tuple(wrong[i] for i in order)))
+    assert not rep.passed
+    assert rep.max_deviation >= 0.9
+
+
 def test_verify_spectrum_tolerance_scale():
     # the bound is relative to max(1, lam1): a loose tolerance passes a
     # deliberately nudged target, a tight one rejects it
@@ -259,7 +273,13 @@ def _kernel_cases():
     block = np.zeros((5, 5))
     block[:2, :2] = [[2.0, 0.5], [0.5, -1.0]]
     block[2:, 2:] = [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0], [3.0, 0.0, -2.0]]
-    return cases + [block]
+    # signed zeros, which pin the sign of every zero a trace or sweep sums
+    neg_diag = _random_symmetric(rng)
+    np.fill_diagonal(neg_diag, -0.0)
+    neg_pairs = _random_symmetric(rng)
+    neg_pairs[0, 2] = neg_pairs[2, 0] = neg_pairs[1, 4] = neg_pairs[4, 1] = -0.0
+    neg_pairs[3, 4] = neg_pairs[4, 3] = -0.0
+    return cases + [block, neg_diag, neg_pairs, -0.0 * np.eye(5)]
 
 
 def test_jacobi_bit_identical_to_reference():
