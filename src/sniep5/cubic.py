@@ -8,6 +8,12 @@ suffer from.  Returned roots satisfy
     |p(root)| <= 1e-9 * max|c_i| * max(1, |root|)**3
 
 and roots closer together than ``1e-7 * (1 + |root|)`` are merged.
+
+:func:`_keeps_sign` is a cheap float test in front of the solve: it probes
+the cubic at the ends of a window and at its turning points inside it, and
+says True only when every probe has one sign and stays above the residual
+bound of the whole window, so that no returned root can lie there.  When it
+is not sure it says False, and the caller solves.
 """
 
 from __future__ import annotations
@@ -34,6 +40,59 @@ def evaluate(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
 def residual_bound(c3: float, c2: float, c1: float, c0: float, root: float) -> float:
     """The residual magnitude up to which ``root`` counts as a root."""
     return RESIDUAL_TOL * max(abs(c3), abs(c2), abs(c1), abs(c0)) * max(1.0, abs(root)) ** 3
+
+
+def _keeps_sign(c3: float, c2: float, c1: float, c0: float,
+                lo: float, hi: float) -> bool:
+    """True only when the cubic keeps one sign on [lo, hi], with lo <= hi.
+
+    The probes are lo, hi and each root of the derivative
+    3*c3*z^2 + 2*c2*z + c1 strictly inside (lo, hi), that is
+    (-c2 +- sqrt(c2^2 - 3*c3*c1)) / (3*c3), formed without cancellation.
+    Each is evaluated by Horner's rule in the association order of
+    :func:`evaluate`.  All of them must have one sign and a magnitude above
+    twice the uniform bound ``RESIDUAL_TOL * max|c_i| * M*M*M``, with
+    M = max(1, |lo|, |hi|).
+
+    Why that is enough: the cubic is monotone between consecutive probes, so
+    its magnitude stays above the bound on all of [lo, hi].  Every root that
+    :func:`real_roots` returns has a residual of at most
+    :func:`residual_bound` at that root, which is at most the bound inside
+    the window; so no returned root lies in [lo, hi].  The factor of two
+    covers the rounding of the probes and of the turning points.
+
+    A zero leading coefficient, a NaN or infinite probe or turning point,
+    or an infinite bound gives False, which means "solve".
+    """
+    if c3 == 0.0:
+        return False  # real_roots raises for it
+    m = max(1.0, abs(lo), abs(hi))
+    bound = 2.0 * RESIDUAL_TOL * max(abs(c3), abs(c2), abs(c1), abs(c0)) * (m * m * m)
+    f = ((c3 * lo + c2) * lo + c1) * lo + c0
+    if not abs(f) > bound:
+        return False  # also a NaN probe, and any probe under an infinite bound
+    positive = f > 0.0
+    f = ((c3 * hi + c2) * hi + c1) * hi + c0
+    if not (abs(f) > bound and (f > 0.0) == positive):
+        return False
+    disc = c2 * c2 - 3.0 * c3 * c1
+    if disc < 0.0:
+        return True  # no turning point: the cubic is monotone
+    # the larger-magnitude turning point first (infinite or NaN when disc
+    # overflows), then the other from the product of the two, c1 / (3*c3)
+    q = -(c2 + math.copysign(math.sqrt(disc), c2))
+    if q == 0.0:
+        turns = (0.0,)  # c2 = c1 = 0: one double turning point at 0
+    else:
+        turns = (q / (3.0 * c3), c1 / q)
+    for z in turns:
+        if lo < z < hi:
+            f = ((c3 * z + c2) * z + c1) * z + c0
+            if not (abs(f) > bound and (f > 0.0) == positive):
+                return False
+        elif not math.isfinite(z):
+            return False
+    return True
 
 
 def _polish(c3, c2, c1, c0, x, steps=4):

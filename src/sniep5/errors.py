@@ -33,7 +33,8 @@ class DegenerateLeadingCoefficient(SniepError):
 
 
 class NoConvergence(SniepError):
-    """The eigensolver missed its off-diagonal threshold within the sweep budget."""
+    """The eigensolver missed its off-diagonal threshold within the sweep
+    budget, or an eigenvalue is too large for a float."""
 
 
 class NotTraceZero(SniepError):

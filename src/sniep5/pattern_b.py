@@ -72,16 +72,21 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
     return CubicQ(*_q_coeffs(s))
 
 
+def _window(s: SortedSpectrum) -> tuple[float, float]:
+    """e1/2, and the rounding slack by which a root may miss [0, e1/2]."""
+    half = 0.5 * s.elem_syms.e1
+    return half, RANGE_SLACK * max(1.0, half)
+
+
 def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> float | None:
     """The largest root within rounding slack of [0, e1/2], clamped onto it.
 
     The roots ascend.  The interval is empty when e1 < 0, and then nothing
     is admitted.
     """
-    half = 0.5 * s.elem_syms.e1
+    half, slack = _window(s)
     if half < 0.0:
         return None
-    slack = RANGE_SLACK * max(1.0, half)
     for x in reversed(roots):
         if -slack <= x <= half + slack:
             return min(max(x, 0.0), half)
@@ -94,11 +99,18 @@ def find_g(s: SortedSpectrum) -> float | None:
     A computed root within rounding slack of either endpoint is eligible
     and gets clamped onto the closed interval, so the downstream diagonal
     entries g and e1 - 2g never go negative by round-off alone.  Q is
-    solved only when e1 >= 0.
+    solved only when e1 >= 0, and only when :func:`cubic._keeps_sign`
+    cannot rule out a root on the slack-widened window that ``_admit``
+    reads: where it rules one out, the solve could admit none, so the
+    answer is None with the same bits as the solve's.
     """
-    if 0.5 * s.elem_syms.e1 < 0.0:
+    half, slack = _window(s)
+    if half < 0.0:
         return None  # the interval is empty, so Q is not solved
-    return _admit(s, cubic.real_roots(*_q_coeffs(s)))
+    c = _q_coeffs(s)
+    if cubic._keeps_sign(*c, -slack, half + slack):
+        return None
+    return _admit(s, cubic.real_roots(*c))
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:

@@ -100,13 +100,14 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                     if not 1.0 >= x >= y >= lam4 >= lam5 >= -1.0:
                         continue
                     s = _checked_sorted((1.0, x, y, lam4, lam5))
-                    decision = classify(s)
                     e1 = s.elem_syms.e1
                     if e1 < 0.0:
                         # the region has trace t >= 0; at t = 0 rounding in
                         # the reconstructed sum can land a hair below zero,
-                        # and such tuples misrepresent the grid point
+                        # and such tuples misrepresent the grid point, so
+                        # they are dropped before they are classified
                         continue
+                    decision = classify(s)
                     u, _, _, r = s.uvwr
                     yield RegionSample(
                         x, y, lam4, lam5, e1, u, r, decision.g,

@@ -279,7 +279,11 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        # a plain loop: all() over a generator costs a frame per call
+        for _, ok in self.checks:
+            if not ok:
+                return False
+        return True
 
     @property
     def failed(self) -> tuple[str, ...]:

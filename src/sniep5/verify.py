@@ -83,7 +83,8 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
 
     ``fro`` stays a ``sum()`` over all 25 squares in row-major order, each
     mirrored square written twice, because Python 3.12's ``sum()`` of floats
-    is compensated and a ``+`` chain would round differently there.
+    is compensated and a ``+`` chain would round differently there.  Only
+    when that norm overflows are the rows swept at a power-of-two scale.
     """
     sqrt = math.sqrt
     (
@@ -103,6 +104,22 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
         s03, s13, s23, a33 * a33, s34,
         s04, s14, s24, s34, a44 * a44,
     )))
+    if fro == math.inf:
+        # the norm overflows, and an infinite threshold would pass the
+        # unrotated diagonal: sweep the rows scaled by 2^-k, which brings
+        # the largest |entry| into [0.5, 1) and rounds only entries that
+        # land below 2^-1022, far under the eigenvalues' rounding; then
+        # scale back
+        k = math.frexp(max(abs(x) for row in rows for x in row))[1]
+        scaled = [[math.ldexp(x, -k) for x in row] for row in rows]
+        eigs = _jacobi(scaled, max_sweeps).values
+        try:
+            return SortedSpectrum(tuple(math.ldexp(x, k) for x in eigs))
+        except OverflowError:
+            raise NoConvergence(
+                f"an eigenvalue, {max(eigs[0], -eigs[4])!r} * 2**{k}, "
+                "overflows a float"
+            ) from None
     thresh = OFF_NORM_TOL * (1.0 + fro)
     for sweep in range(max_sweeps + 1):
         off = (

@@ -309,6 +309,16 @@ def test_verify_detects_wrong_spectrum(tmp_path):
     assert "FAIL" in text
 
 
+def test_verify_fails_a_matrix_whose_norm_overflows(tmp_path):
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][1] = rows[1][0] = 1e160
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rows))
+    code, text = run("verify", "--spectrum", "0,0,0,0,0", "--matrix", str(path))
+    assert code == 3
+    assert "FAIL" in text
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_verify_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
     # diag(0, 0, 0, 0, 1) is nowhere near EX1; an infinite tolerance passed it

@@ -1,5 +1,6 @@
 """Real-root extraction for cubics with real coefficients."""
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -86,20 +87,108 @@ def test_roots_sorted_ascending():
         assert list(roots) == sorted(roots)
 
 
+def _assert_residuals_bounded(coeffs):
+    for root in cubic.real_roots(*coeffs):
+        res = abs(cubic.evaluate(*coeffs, root))
+        assert res <= cubic.residual_bound(*coeffs, root), (coeffs, root)
+
+
 def test_residual_bound_random():
     rng = np.random.default_rng(17)
     for _ in range(300):
         coeffs = rng.uniform(-100, 100, 4)
         if abs(coeffs[0]) < 1e-3:
             continue
-        for root in cubic.real_roots(*coeffs):
-            res = abs(cubic.evaluate(*coeffs, root))
-            assert res <= cubic.residual_bound(*coeffs, root)
+        _assert_residuals_bounded(coeffs)
+
+
+# _keeps_sign's "no root" rests on this bound holding for every returned
+# root, so it is checked on the cubics the two-paths gate meets
+def test_residual_bound_on_every_24_grid_row():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        rows = list(sn.sample_region(24, [0.0, 0.1, 0.35]))
+    assert len(rows) == 18_290
+    for row in rows:
+        s = sn.SortedSpectrum((1.0, row.lambda2, row.lambda3, row.lambda4,
+                               row.lambda5))
+        _assert_residuals_bounded(_q_coeffs(sn.q_poly(s)))
+
+
+def test_residual_bound_on_suite_05_draws():
+    # the first draws of acceptance suite 05's stream, before its gate
+    rng = np.random.default_rng(20241)
+    for s in sample_until(rng, lambda s: True, 20_000, **B_DRAW):
+        _assert_residuals_bounded(_q_coeffs(sn.q_poly(s)))
+
+
+def test_residual_bound_on_reference_cubics():
+    # includes the double- and triple-root cubics
+    for coeffs in _reference_cubics():
+        _assert_residuals_bounded(coeffs)
+
+
+def test_keeps_sign_false_with_a_root_at_an_end():
+    # Q(lo) = 0 and Q(hi) = 0 exactly
+    assert not cubic._keeps_sign(*poly_from_roots([0.0, 2.0, -3.0], 2.0), 0.0, 0.5)
+    assert not cubic._keeps_sign(*poly_from_roots([0.5, 2.0, -3.0], 2.0), 0.0, 0.5)
+
+
+def test_keeps_sign_probes_a_double_root_inside():
+    # both ends are negative; only the turning point at 0.25 shows the root
+    coeffs = poly_from_roots([0.25, 0.25, 3.0], 2.0)
+    assert cubic.evaluate(*coeffs, 0.0) < 0.0
+    assert cubic.evaluate(*coeffs, 0.5) < 0.0
+    assert not cubic._keeps_sign(*coeffs, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("turn", [0.501, -0.001])
+def test_keeps_sign_true_with_a_turning_point_just_outside(turn):
+    coeffs = poly_from_roots([turn, turn, 3.0], 2.0)
+    assert cubic._keeps_sign(*coeffs, 0.0, 0.5)
+    assert not [x for x in cubic.real_roots(*coeffs) if 0.0 <= x <= 0.5]
+
+
+def test_keeps_sign_false_near_a_zero_minimum():
+    # Q < 0 on the whole window, but only by 1e-12 at 0.25: too close to say
+    c3, c2, c1, c0 = poly_from_roots([0.25, 0.25, 3.0], 2.0)
+    c0 -= 1e-12
+    assert cubic.evaluate(c3, c2, c1, c0, 0.25) < 0.0
+    assert not cubic._keeps_sign(c3, c2, c1, c0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("i", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_keeps_sign_false_on_non_finite_coefficients(i, bad):
+    coeffs = [2.0, 0.0, 0.0, 1.0]  # 2z^3 + 1 > 0 on [0, 0.5]
+    assert cubic._keeps_sign(*coeffs, 0.0, 0.5)
+    coeffs[i] = bad
+    assert not cubic._keeps_sign(*coeffs, 0.0, 0.5)
+
+
+def test_keeps_sign_false_on_a_zero_leading_coefficient():
+    assert not cubic._keeps_sign(0.0, 1.0, 0.0, 1.0, 0.0, 0.5)
+
+
+def test_keeps_sign_true_only_without_a_root_in_the_window():
+    rng = np.random.default_rng(29)
+    decided = 0
+    for _ in range(3000):
+        coeffs = tuple(float(c) for c in rng.uniform(-10, 10, 4))
+        lo, hi = sorted(float(x) for x in rng.uniform(-3, 3, 2))
+        if cubic._keeps_sign(*coeffs, lo, hi):
+            decided += 1
+            assert not [x for x in cubic.real_roots(*coeffs) if lo <= x <= hi]
+    assert decided > 1000
 
 
 def test_degenerate_leading_coefficient():
     with pytest.raises(sn.DegenerateLeadingCoefficient):
         cubic.real_roots(0.0, 1.0, 2.0, 3.0)
+
+
+def _q_coeffs(q):
+    return (q.c3, q.c2, q.c1, q.c0)
 
 
 def _evaluate_reference(c3, c2, c1, c0, x):

@@ -66,6 +66,14 @@ def test_find_g_golden():
     assert sn.find_g(EX1) is None
 
 
+def test_find_g_skips_the_solve_where_q_keeps_its_sign(monkeypatch):
+    def no_solve(*c):
+        raise AssertionError("Q was solved")
+
+    monkeypatch.setattr("sniep5.cubic.real_roots", no_solve)
+    assert sn.find_g(EX1) is None
+
+
 def test_find_g_zero_spectrum():
     s = sn.SortedSpectrum((0.0, 0.0, 0.0, 0.0, 0.0))
     assert sn.find_g(s) == 0.0
@@ -120,17 +128,52 @@ def _find_g_reference(s):
     return hits[-1] if hits else None
 
 
+def _onto_q_edge(vals, i, at_half):
+    """``vals``, sorted, with entry i moved between its neighbours to where
+    Q at 0 (or at e1/2) changes sign; unchanged when it changes none."""
+    v = sorted(vals, reverse=True)
+
+    def q_edge(x):
+        s = sn.SortedSpectrum(tuple(v[:i] + [x] + v[i + 1:]))
+        return sn.q_poly(s)(0.5 * sn.elem_syms(s).e1 if at_half else 0.0)
+
+    lo = v[i + 1] if i < 4 else v[i] - 1.0
+    hi = v[i - 1] if i > 0 else v[i] + 1.0
+    f_lo, f_hi = q_edge(lo), q_edge(hi)
+    if not f_lo * f_hi <= 0.0:
+        return v
+    for _ in range(200):  # bisect down to neighbouring floats
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = q_edge(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    v[i] = lo
+    return v
+
+
+_FLOATS = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
+
+# the two-paths corner of the region, where Q has roots in [0, e1/2]
+_BOX_POINTS = st.integers(0, 2**32 - 1).map(
+    lambda seed: list(draw_box_point(np.random.default_rng(seed), **B_DRAW)))
+
 _LISTS = st.one_of(
-    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    _FLOATS,
     st.lists(st.integers(-100, 100).map(lambda h: h / 100), min_size=5, max_size=5),
     st.lists(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0)),
              min_size=5, max_size=5),
     # e1 < 0
     st.lists(st.floats(-1.0, 0.1), min_size=4, max_size=4).map(
         lambda v: v + [0.2]).filter(lambda v: math.fsum(v) < 0.0),
-    # the two-paths corner of the region, where Q has roots in [0, e1/2]
-    st.integers(0, 2**32 - 1).map(
-        lambda seed: list(draw_box_point(np.random.default_rng(seed), **B_DRAW))),
+    _BOX_POINTS,
+    # one entry moved to where Q(0) = c0 or Q(e1/2) is zero up to rounding,
+    # so a root sits on an edge of the window that find_g admits into
+    st.builds(_onto_q_edge, st.one_of(_FLOATS, _BOX_POINTS),
+              st.integers(0, 4), st.booleans()),
 )
 
 

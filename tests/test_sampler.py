@@ -87,6 +87,18 @@ def test_boundary_plane_rows_present_and_flagged():
         assert row.tag == "negated_perron_boundary"
 
 
+def test_rows_dropped_for_negative_trace_are_not_classified(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return sn.classify(s)
+
+    monkeypatch.setattr("sniep5.sampler.classify", counting)
+    rows = _collect(24, [0.0, 0.1, 0.35])
+    assert len(calls) == len(rows) == 18_290
+
+
 def test_trace_zero_slice_never_emits_negative_trace():
     for row in _collect(6, [0.0]):
         assert row.e1 >= 0.0

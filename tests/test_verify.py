@@ -86,6 +86,37 @@ def test_zero_sweep_budget_accepts_a_diagonal_matrix():
     assert sn.sym_eigenvalues(np.eye(5), max_sweeps=0).values == (1.0,) * 5
 
 
+def _big_pair(diag=0.0):
+    # a Frobenius norm of sqrt(2) * 1e160 overflows a float
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][1] = rows[1][0] = 1e160
+    rows[2][2] = diag
+    return sn.SymMatrix5(rows)
+
+
+def test_jacobi_eigenvalues_when_the_norm_overflows():
+    assert sn.sym_eigenvalues(_big_pair()).values == (1e160, 0.0, 0.0, 0.0, -1e160)
+    assert sn.sym_eigenvalues(_big_pair(3e159)).values == (
+        1e160, 3e159, 0.0, 0.0, -1e160)
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        a = _random_symmetric(rng) * 1e160
+        npt.assert_allclose(sn.sym_eigenvalues(a).values,
+                            np.sort(np.linalg.eigvalsh(a))[::-1],
+                            rtol=0.0, atol=1e-12 * 5e160)
+
+
+def test_verify_spectrum_fails_on_the_zero_target_when_the_norm_overflows():
+    rep = sn.verify_spectrum(_big_pair(), sn.Spectrum((0.0,) * 5))
+    assert not rep.passed
+    assert rep.max_deviation == 1e160
+
+
+def test_jacobi_eigenvalue_past_the_float_range_is_refused():
+    with pytest.raises(sn.NoConvergence, match="overflows"):
+        sn.sym_eigenvalues(np.full((5, 5), 1.7e308))
+
+
 def test_verify_spectrum_golden():
     mat = sn.build_pattern_a(EX1)
     rep = sn.verify_spectrum(mat, EX1, rel_tol=1e-9)
