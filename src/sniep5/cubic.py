@@ -24,6 +24,8 @@ from .errors import DegenerateLeadingCoefficient
 
 RESIDUAL_TOL = 1e-9
 MERGE_TOL = 1e-7
+# Newton steps by which _polish refines each closed-form root
+_POLISH_STEPS = 4
 
 # the angle offsets of the trigonometric branch, 2*pi*k/3 for k = 0, 1, 2
 _THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in (0, 1, 2))
@@ -95,7 +97,7 @@ def _keeps_sign(c3: float, c2: float, c1: float, c0: float,
     return True
 
 
-def _polish(c3, c2, c1, c0, x, steps=4):
+def _polish(c3, c2, c1, c0, x):
     """Newton refinement on the original coefficients; keeps the best iterate.
 
     Each iterate's residual is evaluated once, by Horner's rule in the
@@ -105,7 +107,7 @@ def _polish(c3, c2, c1, c0, x, steps=4):
     d2 = 2.0 * c2
     f = ((c3 * x + c2) * x + c1) * x + c0
     best_x, best_f = x, abs(f)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         df = (d3 * x + d2) * x + c1
         if df == 0.0:
             break

@@ -170,18 +170,17 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         ("g_in_range", admitted is not None),
         *_region_checks(s),
     )
-    if not all([ok for _, ok in checks]):
-        failed = ConditionReport(checks, g=g).failed
+    report = ConditionReport(checks, g=g)
+    if not report.passed:
+        failed = report.failed
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(failed)}", failed
         )
-    g = admitted  # clamped onto [0, e1/2]
+    # clamped onto [0, e1/2]; a numpy g becomes a Python float, so the
+    # rows are Python floats computed in float64
+    g = float(admitted)
     rows = pattern_b_entries(s, g)
     k = rows[1][4]
     if not k > 0.0:
         raise NegativeRadicand(f"entry scalar out of range at g={g}: k={k}")
-    if type(g) is not float:
-        # a numpy or int g leaves entries of its type; the public
-        # constructor converts them to Python floats
-        return SymMatrix5(rows, provenance="pattern_b")
     return _built_matrix(rows, "pattern_b")

@@ -189,16 +189,13 @@ def parse_spectrum(text: str) -> Spectrum:
     """Parse a comma-separated 5-tuple such as ``"1000,381,360,-641,-750"``.
 
     Decimal and scientific notation are accepted; whitespace around the
-    separators is ignored.
+    separators is ignored.  The parts are converted and checked once, by
+    :class:`Spectrum`.
     """
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != N:
         raise InvalidSpectrum(f"expected {N} comma-separated values, got {len(parts)}")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise InvalidSpectrum(f"could not parse {text!r}: {exc}") from exc
-    return Spectrum(vals)
+    return Spectrum(tuple(parts))
 
 
 def sort_descending(s: Spectrum) -> SortedSpectrum:
@@ -369,17 +366,18 @@ class SymMatrix5:
         return "[" + rows + "]"
 
     @classmethod
-    def parse(cls, text: str, provenance: str = "external") -> "SymMatrix5":
-        """Read a matrix in either serialized form (text table or JSON)."""
+    def parse(cls, text: str) -> "SymMatrix5":
+        """Read an ``"external"`` matrix in either serialized form (text
+        table or JSON); the constructor converts and checks the entries."""
         stripped = text.strip()
         if stripped.startswith("["):
             rows = json.loads(stripped)
         else:
             rows = [
-                [float(x) for x in re.split(r"[,\s]+", line.strip()) if x]
+                [x for x in re.split(r"[,\s]+", line.strip()) if x]
                 for line in stripped.splitlines()
                 if line.strip()
             ]
         # 17 significant digits round-trip doubles exactly, so output from
         # format_text/format_json reconstructs bit-identically
-        return cls(rows, provenance=provenance)
+        return cls(rows)

@@ -260,26 +260,22 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
     raise AssertionError("unreachable")
 
 
-def sym_eigenvalues(m, max_sweeps: int = MAX_SWEEPS) -> SortedSpectrum:
+def sym_eigenvalues(m) -> SortedSpectrum:
     """Eigenvalues of an exactly-symmetric 5x5 matrix, descending.
 
     Row-cyclic Jacobi sweeps with no rotation thresholding; converged once
     the off-diagonal Frobenius norm drops below 1e-13 * (1 + ||M||_F).
-    Raises :class:`NoConvergence` if the sweep budget runs out, and
-    ``ValueError`` for a negative ``max_sweeps``.
+    Raises :class:`NoConvergence` if ``MAX_SWEEPS`` sweeps do not converge.
 
-    A :class:`SymMatrix5` cannot change, so at the default sweep budget its
-    eigenvalues are computed once, stored on the matrix and returned from
-    there on every later call.
+    A :class:`SymMatrix5` cannot change, so its eigenvalues are computed
+    once, stored on the matrix with ``object.__setattr__``, which keeps the
+    compact instance layout, and returned from there on every later call.
     """
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     m = _matrix(m)
-    if max_sweeps != MAX_SWEEPS:
-        return _jacobi(m.entries, max_sweeps)
-    stored = m.__dict__.get("_eigenvalues")
+    stored = getattr(m, "_eigenvalues", None)
     if stored is None:
-        stored = m.__dict__["_eigenvalues"] = _jacobi(m.entries, max_sweeps)
+        stored = _jacobi(m.entries, MAX_SWEEPS)
+        object.__setattr__(m, "_eigenvalues", stored)
     return stored
 
 

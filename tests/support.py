@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles, region samplers, a byte count.
+"""Shared test helpers: brute-force oracles, region samplers, a byte count,
+and the small comparison helpers several suites use.
 
 Everything here is deliberately independent of the package internals it is
 used to check. The elementary symmetric oracle enumerates subsets, the
@@ -47,6 +48,21 @@ def assert_ident(lhs, rhs, tol, scale=1.0):
     """
     bound = tol * max(1.0, abs(lhs), abs(rhs), scale)
     assert abs(lhs - rhs) <= bound, (lhs, rhs, bound)
+
+
+def terms_scale(*terms):
+    """The largest participating term magnitude, at least 1, for assert_ident."""
+    return max(1.0, *(abs(t) for t in terms))
+
+
+def q_coeffs(q):
+    """A ``CubicQ``'s coefficients c3, c2, c1, c0 as a plain tuple."""
+    return (q.c3, q.c2, q.c1, q.c0)
+
+
+def hex_bits(xs):
+    """``float.hex`` of each value: tells -0.0 from 0.0, which == does not."""
+    return tuple(x.hex() for x in xs)
 
 
 def draw_box_point(rng, t_lo=0.0, t_hi=0.95, x_pow=1, y_top=1.0):

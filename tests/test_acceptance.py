@@ -20,6 +20,7 @@ from support import (
     closure_size,
     sample_trace_zero_realizable,
     sample_until,
+    terms_scale,
 )
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -187,10 +188,6 @@ def test_05_two_paths_region_suite(suite_b):
     assert elapsed < 5.0
 
 
-def _terms_scale(*terms):
-    return max(1.0, *(abs(t) for t in terms))
-
-
 def test_06_coefficient_identity_suite():
     rng = np.random.default_rng(20242)
     checked_a = 0
@@ -203,20 +200,20 @@ def test_06_coefficient_identity_suite():
             continue
         e1, e2, e3, e4, e5 = sn.elem_syms(s).as_tuple()
         assert_ident(u ** 3 + 2 * v + r * r + w * w, -u * u * e2, 1e-8,
-                     scale=_terms_scale(u ** 3, v, r * r, w * w, u * u * e2))
+                     scale=terms_scale(u ** 3, v, r * r, w * w, u * u * e2))
         assert_ident(-r * u * u + 2 * e1 * v + e1 * r * r + e1 * w * w,
                      -u * u * e3, 1e-8,
-                     scale=_terms_scale(r * u * u, e1 * v, e1 * w * w,
-                                        u * u * e3))
+                     scale=terms_scale(r * u * u, e1 * v, e1 * w * w,
+                                       u * u * e3))
         assert_ident(-2 * v * w * r + w * w * u ** 3 + u ** 3 * v + v * v
                      + r * r * w * w, u ** 4 * e4, 1e-8,
-                     scale=_terms_scale(v * w * r, w * w * u ** 3, u ** 3 * v,
-                                        v * v, u ** 4 * e4))
+                     scale=terms_scale(v * w * r, w * w * u ** 3, u ** 3 * v,
+                                       v * v, u ** 4 * e4))
         assert_ident(-2 * e1 * v * w * r + u * u * v * w - u * u * w * w * r
                      + e1 * r * r * w * w + e1 * v * v, u ** 4 * e5, 1e-8,
-                     scale=_terms_scale(e1 * v * w * r, u * u * v * w,
-                                        u * u * w * w * r, e1 * v * v,
-                                        u ** 4 * e5))
+                     scale=terms_scale(e1 * v * w * r, u * u * v * w,
+                                       u * u * w * w * r, e1 * v * v,
+                                       u ** 4 * e5))
         checked_a += 1
 
     for _ in range(SUITE_N):
@@ -228,23 +225,23 @@ def test_06_coefficient_identity_suite():
         k, l, m = compute_klm(s, g)
         qg = sn.q_poly(s)(g)
         assert_ident(-(k * k) - 2 * l - 2 * m + 2 * g * e1 - 3 * g * g, e2,
-                     1e-8, scale=_terms_scale(k * k, l, m, g * e1, g * g))
+                     1e-8, scale=terms_scale(k * k, l, m, g * e1, g * g))
         assert_ident(-2 * g * l + e1 * k * k + 2 * l * e1 + 2 * m * g
                      - g * g * e1 + 2 * g ** 3, qg - e3,
-                     1e-8, scale=_terms_scale(g * l, e1 * k * k, m * g,
-                                              g ** 3, qg, e3))
+                     1e-8, scale=terms_scale(g * l, e1 * k * k, m * g,
+                                             g ** 3, qg, e3))
         assert_ident(4 * g * g * l + 2 * k * k * m - 2 * k * k * g * e1
                      + 3 * k * k * g * g + 2 * m * l - 2 * g * l * e1 + l * l,
                      -(l3 + l5) * qg + e4,
-                     1e-8, scale=_terms_scale(g * g * l, k * k * m,
-                                              k * k * g * e1, m * l, l * l,
-                                              (l3 + l5) * qg, e4))
+                     1e-8, scale=terms_scale(g * g * l, k * k * m,
+                                             k * k * g * e1, m * l, l * l,
+                                             (l3 + l5) * qg, e4))
         assert_ident(-2 * l * k * m + 2 * g * l * l - 2 * k * k * m * g
                      + k * k * g * g * e1 - 2 * k * k * g ** 3 - l * l * e1,
                      l3 * l5 * qg - e5,
-                     1e-8, scale=_terms_scale(l * k * m, g * l * l,
-                                              k * k * m * g, k * k * g ** 3,
-                                              l * l * e1, l3 * l5 * qg, e5))
+                     1e-8, scale=terms_scale(l * k * m, g * l * l,
+                                             k * k * m * g, k * k * g ** 3,
+                                             l * l * e1, l3 * l5 * qg, e5))
 
     _report(6, "coefficient identity suite", True,
             f"{SUITE_N} five-cycle and {SUITE_N} two-paths samples at 1e-8")

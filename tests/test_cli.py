@@ -69,9 +69,14 @@ def test_check_unknown_exit_code():
     assert "verdict: unknown" in text
 
 
-def test_check_rejects_malformed_spectrum():
-    code, _ = run("check", "--spectrum", "1,2,3")
-    assert code == 2
+@pytest.mark.parametrize("spectrum,message", [
+    ("1,2,3", "expected 5 comma-separated values, got 3"),
+    ("1,x,3,4,5", "non-numeric entry in ('1', 'x', '3', '4', '5')"),
+], ids=["count", "non_numeric"])
+def test_check_rejects_malformed_spectrum(capsys, spectrum, message):
+    code, text = run("check", "--spectrum", spectrum)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_realize_matrix_round_trip(tmp_path):
@@ -288,9 +293,10 @@ def test_sample_with_verification():
     assert "pattern_a" in text
 
 
-def test_sample_rejects_small_grid():
-    code, _ = run("sample", "--grid", "1", "--t", "0.35")
-    assert code == 2
+def test_sample_rejects_small_grid(capsys):
+    code, text = run("sample", "--grid", "1", "--t", "0.35")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: grid_n must be at least 2, got 1\n"
 
 
 def test_sample_empty_grid_is_usage_error():

@@ -8,7 +8,7 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import cubic
-from support import poly_from_roots, sample_until
+from support import hex_bits, poly_from_roots, q_coeffs, sample_until
 
 EX1_Q = (2.0, 780.0, -169279.0, -5139810.0)
 EX2_Q = (2.0, 766.0, -189010.0, -901830.0)
@@ -112,14 +112,14 @@ def test_residual_bound_on_every_24_grid_row():
     for row in rows:
         s = sn.SortedSpectrum((1.0, row.lambda2, row.lambda3, row.lambda4,
                                row.lambda5))
-        _assert_residuals_bounded(_q_coeffs(sn.q_poly(s)))
+        _assert_residuals_bounded(q_coeffs(sn.q_poly(s)))
 
 
 def test_residual_bound_on_suite_05_draws():
     # the first draws of acceptance suite 05's stream, before its gate
     rng = np.random.default_rng(20241)
     for s in sample_until(rng, lambda s: True, 20_000, **B_DRAW):
-        _assert_residuals_bounded(_q_coeffs(sn.q_poly(s)))
+        _assert_residuals_bounded(q_coeffs(sn.q_poly(s)))
 
 
 def test_residual_bound_on_reference_cubics():
@@ -187,10 +187,6 @@ def test_degenerate_leading_coefficient():
         cubic.real_roots(0.0, 1.0, 2.0, 3.0)
 
 
-def _q_coeffs(q):
-    return (q.c3, q.c2, q.c1, q.c0)
-
-
 def _evaluate_reference(c3, c2, c1, c0, x):
     return ((c3 * x + c2) * x + c1) * x + c0
 
@@ -232,10 +228,6 @@ def _reference_cubics():
         yield tuple(poly_from_roots([a, a, a], lead=lead))
 
 
-def _hex(xs):
-    return tuple(x.hex() for x in xs)
-
-
 def test_polish_bit_identical_to_reference_loop():
     cubics = list(_reference_cubics())
     want_polish = []
@@ -243,15 +235,15 @@ def test_polish_bit_identical_to_reference_loop():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cubic, "_polish", _polish_reference)
         for c in cubics:
-            want_roots.append(_hex(cubic.real_roots(*c)))
+            want_roots.append(hex_bits(cubic.real_roots(*c)))
     starts = (-60.0, -1.0, 0.0, 0.5, 3.0, 75.0)
     for c in cubics:
-        want_polish.append(_hex(_polish_reference(*c, x) for x in starts))
+        want_polish.append(hex_bits(_polish_reference(*c, x) for x in starts))
     for c, roots, polished in zip(cubics, want_roots, want_polish):
-        assert _hex(cubic.real_roots(*c)) == roots, c
-        assert _hex(cubic._polish(*c, x) for x in starts) == polished, c
+        assert hex_bits(cubic.real_roots(*c)) == roots, c
+        assert hex_bits(cubic._polish(*c, x) for x in starts) == polished, c
 
 
 def test_thirds_are_the_angles_they_replace():
     want = tuple(2.0 * math.pi * k / 3.0 for k in (0, 1, 2))
-    assert _hex(cubic._THIRDS) == _hex(want)
+    assert hex_bits(cubic._THIRDS) == hex_bits(want)

@@ -7,7 +7,7 @@ import pytest
 
 import sniep5 as sn
 from sniep5.pattern_a import pattern_a_entries
-from support import assert_ident, sample_until
+from support import assert_ident, sample_until, terms_scale
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -114,10 +114,6 @@ def test_sampled_region_build_and_verify():
         assert sn.entry_bound_check(mat)
 
 
-def _terms_scale(*terms):
-    return max(1.0, *(abs(t) for t in terms))
-
-
 def test_characteristic_coefficient_identities():
     rng = np.random.default_rng(53)
     for _ in range(500):
@@ -127,19 +123,19 @@ def test_characteristic_coefficient_identities():
         sc = sn.compute_uvwr(s)
         u, v, w, r = sc.u, sc.v, sc.w, sc.r
         assert_ident(u ** 3 + 2 * v + r * r + w * w, -u * u * e2, 1e-9,
-                     scale=_terms_scale(u ** 3, v, r * r, w * w, u * u * e2))
+                     scale=terms_scale(u ** 3, v, r * r, w * w, u * u * e2))
         assert_ident(-r * u * u + 2 * e1 * v + e1 * r * r + e1 * w * w,
                      -u * u * e3, 1e-9,
-                     scale=_terms_scale(r * u * u, e1 * v, e1 * w * w, u * u * e3))
+                     scale=terms_scale(r * u * u, e1 * v, e1 * w * w, u * u * e3))
         assert_ident(-2 * v * w * r + w * w * u ** 3 + u ** 3 * v + v * v
                      + r * r * w * w, u ** 4 * e4, 1e-9,
-                     scale=_terms_scale(v * w * r, w * w * u ** 3, u ** 3 * v,
-                                        v * v, u ** 4 * e4))
+                     scale=terms_scale(v * w * r, w * w * u ** 3, u ** 3 * v,
+                                       v * v, u ** 4 * e4))
         assert_ident(-2 * e1 * v * w * r + u * u * v * w - u * u * w * w * r
                      + e1 * r * r * w * w + e1 * v * v, u ** 4 * e5, 1e-9,
-                     scale=_terms_scale(e1 * v * w * r, u * u * v * w,
-                                        u * u * w * w * r, e1 * v * v,
-                                        u ** 4 * e5))
+                     scale=terms_scale(e1 * v * w * r, u * u * v * w,
+                                       u * u * w * w * r, e1 * v * v,
+                                       u ** 4 * e5))
 
 
 def test_entries_characteristic_polynomial_matches_targets():

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import sniep5 as sn
 from sniep5.pattern_b import M_CLAMP_TOL, compute_klm, pattern_b_entries
-from support import assert_ident, draw_box_point, sample_until
+from support import (
+    assert_ident,
+    draw_box_point,
+    q_coeffs,
+    sample_until,
+    terms_scale,
+)
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -36,13 +42,9 @@ def _has_root(s):
     return sn.find_g(s) is not None
 
 
-def _q_coeffs(q):
-    return (q.c3, q.c2, q.c1, q.c0)
-
-
 def test_q_poly_golden():
-    assert _q_coeffs(sn.q_poly(EX1)) == (2.0, 780.0, -169279.0, -5139810.0)
-    assert _q_coeffs(sn.q_poly(EX2)) == (2.0, 766.0, -189010.0, -901830.0)
+    assert q_coeffs(sn.q_poly(EX1)) == (2.0, 780.0, -169279.0, -5139810.0)
+    assert q_coeffs(sn.q_poly(EX2)) == (2.0, 766.0, -189010.0, -901830.0)
 
 
 def test_q_poly_evaluates():
@@ -245,10 +247,11 @@ def test_build_golden_spectrum():
                          ids=["float64", "float32"])
 def test_build_writes_python_float_rows_for_a_numpy_g(g):
     # the builder's rows skip the public float() conversion, so a numpy g
-    # must give the rows the public constructor would have stored
+    # must give the rows the public constructor would have stored from
+    # the entries at float(g), computed in float64
     mat = sn.build_pattern_b(EX2, g)
     assert all(type(x) is float for row in mat.entries for x in row)
-    rows = pattern_b_entries(EX2, g)
+    rows = pattern_b_entries(EX2, float(g))
     public = sn.SymMatrix5(rows, provenance="pattern_b")
     assert [x.hex() for row in mat.entries for x in row] == \
         [x.hex() for row in public.entries for x in row]
@@ -314,10 +317,6 @@ def test_m_radicand_discriminant_dominates():
         assert delta >= s.lam2 ** 2 - 1e-12
 
 
-def _terms_scale(*terms):
-    return max(1.0, *(abs(t) for t in terms))
-
-
 def test_closed_form_coefficient_identities():
     # coefficient identities hold for every g, admissible or not
     rng = np.random.default_rng(83)
@@ -330,23 +329,23 @@ def test_closed_form_coefficient_identities():
         k, l, m = compute_klm(s, g)
         qg = sn.q_poly(s)(g)
         assert_ident(-(k * k) - 2 * l - 2 * m + 2 * g * e1 - 3 * g * g, e2,
-                     1e-9, scale=_terms_scale(k * k, l, m, g * e1, g * g))
+                     1e-9, scale=terms_scale(k * k, l, m, g * e1, g * g))
         assert_ident(-2 * g * l + e1 * k * k + 2 * l * e1 + 2 * m * g
                      - g * g * e1 + 2 * g ** 3, qg - e3,
-                     1e-9, scale=_terms_scale(g * l, e1 * k * k, m * g,
-                                              g ** 3, qg, e3))
+                     1e-9, scale=terms_scale(g * l, e1 * k * k, m * g,
+                                             g ** 3, qg, e3))
         assert_ident(4 * g * g * l + 2 * k * k * m - 2 * k * k * g * e1
                      + 3 * k * k * g * g + 2 * m * l - 2 * g * l * e1 + l * l,
                      -(l3 + l5) * qg + e4,
-                     1e-9, scale=_terms_scale(g * g * l, k * k * m,
-                                              k * k * g * e1, m * l, l * l,
-                                              (l3 + l5) * qg, e4))
+                     1e-9, scale=terms_scale(g * g * l, k * k * m,
+                                             k * k * g * e1, m * l, l * l,
+                                             (l3 + l5) * qg, e4))
         assert_ident(-2 * l * k * m + 2 * g * l * l - 2 * k * k * m * g
                      + k * k * g * g * e1 - 2 * k * k * g ** 3 - l * l * e1,
                      l3 * l5 * qg - e5,
-                     1e-9, scale=_terms_scale(l * k * m, g * l * l,
-                                              k * k * m * g, k * k * g ** 3,
-                                              l * l * e1, l3 * l5 * qg, e5))
+                     1e-9, scale=terms_scale(l * k * m, g * l * l,
+                                             k * k * m * g, k * k * g ** 3,
+                                             l * l * e1, l3 * l5 * qg, e5))
 
 
 def test_sampled_region_build_and_verify():

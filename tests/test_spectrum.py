@@ -17,6 +17,7 @@ from support import (
     assert_ident,
     bytes_each,
     esym_bruteforce,
+    hex_bits,
     poly_from_roots,
     sample_until,
 )
@@ -127,10 +128,47 @@ def test_parse_spectrum():
     assert s.values == EX1
 
 
-@pytest.mark.parametrize("text", ["", "1,2,3,4", "1,2,3,4,5,6", "a,b,c,d,e"])
-def test_parse_spectrum_rejects(text):
-    with pytest.raises(sn.InvalidSpectrum):
+# digit groups joined by single underscores, as float() accepts them
+_DIGITS = st.lists(st.text("0123456789", min_size=1, max_size=3),
+                   min_size=1, max_size=3).map("_".join)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_TYPED = st.one_of(
+    st.tuples(
+        _PAD,
+        st.sampled_from(["", "-", "+"]),
+        _DIGITS,
+        st.one_of(st.just(""), _DIGITS.map(lambda d: "." + d)),
+        st.one_of(st.just(""), st.builds("{}{}".format, st.sampled_from("eE"),
+                                         st.integers(-300, 290))),
+        _PAD,
+    ).map("".join),
+    st.sampled_from(["-0", "-0.0", " +0.0e-3 ", "0_0", "-0e0", ".5", "-.5e-1"]),
+)
+
+
+@given(st.lists(_TYPED, min_size=5, max_size=5).map(",".join))
+@example("1e3, 381,360 ,-641,-750")
+@example("-0,0,-0.0,+0,1_000")
+@settings(deadline=None, max_examples=300)
+def test_parse_spectrum_converts_as_float_does(text):
+    want = tuple(float(p.strip()) for p in text.split(","))
+    got = sn.parse_spectrum(text)
+    assert type(got) is sn.Spectrum
+    assert hex_bits(got.values) == hex_bits(want)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "expected 5 comma-separated values, got 1"),
+    ("1,2,3,4", "expected 5 comma-separated values, got 4"),
+    ("1,2,3,4,5,6", "expected 5 comma-separated values, got 6"),
+    ("a,b,c,d,e", "non-numeric entry in ('a', 'b', 'c', 'd', 'e')"),
+    ("1,x,3,4,5", "non-numeric entry in ('1', 'x', '3', '4', '5')"),
+    ("1e400,1,1,1,1", "non-finite entry in (inf, 1.0, 1.0, 1.0, 1.0)"),
+], ids=["empty", "four", "six", "words", "one_word", "overflow"])
+def test_parse_spectrum_rejects(text, message):
+    with pytest.raises(sn.InvalidSpectrum) as info:
         sn.parse_spectrum(text)
+    assert str(info.value) == message
 
 
 def test_elem_syms_small_integer_case():
@@ -196,7 +234,7 @@ def test_elem_syms_scaling_homogeneity(vals, alpha):
 def _esyms_reference(vals):
     """The product expansion, in the package's order, recomputed from scratch."""
     c = poly_from_roots(sorted(vals, reverse=True))
-    return _bits((-c[1], c[2], -c[3], c[4], -c[5]))
+    return hex_bits((-c[1], c[2], -c[3], c[4], -c[5]))
 
 
 def _uvwr_reference(vals):
@@ -208,17 +246,12 @@ def _uvwr_reference(vals):
     v = -((l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5))
     w = l2 * l5 * e1 - l1 * l3 * l4
     r = e3 + e1 * (l2 * l2 + l5 * l5)
-    return _bits((u, v, w, r))
+    return hex_bits((u, v, w, r))
 
 
 def _uvwr_bits(s):
     sc = sn.compute_uvwr(s)
-    return _bits((sc.u, sc.v, sc.w, sc.r))
-
-
-def _bits(xs):
-    # float.hex tells -0.0 from 0.0, which == does not
-    return tuple(x.hex() for x in xs)
+    return hex_bits((sc.u, sc.v, sc.w, sc.r))
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -248,8 +281,8 @@ def test_stored_elem_syms_bit_identical(vals, read_first):
     want_uvwr = _uvwr_reference(unsorted.values)
     s = sn.sort_descending(unsorted)
     if read_first:
-        assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
-        assert _bits(sn.elem_syms(s).as_tuple()) == want
+        assert hex_bits(sn.elem_syms(unsorted).as_tuple()) == want
+        assert hex_bits(sn.elem_syms(s).as_tuple()) == want
         assert _uvwr_bits(s) == want_uvwr
     unsorted.elem_syms
     decision = sn.classify(s)
@@ -257,8 +290,8 @@ def test_stored_elem_syms_bit_identical(vals, read_first):
         sn.build_pattern_a(s)
     with contextlib.suppress(sn.SniepError, ValueError):
         sn.build_pattern_b(s, 0.0 if decision.g is None else decision.g)
-    assert _bits(sn.elem_syms(unsorted).as_tuple()) == want
-    assert _bits(sn.elem_syms(s).as_tuple()) == want
+    assert hex_bits(sn.elem_syms(unsorted).as_tuple()) == want
+    assert hex_bits(sn.elem_syms(s).as_tuple()) == want
     assert sn.elem_syms(s) is sn.elem_syms(s)
     assert _uvwr_bits(s) == want_uvwr
     assert sn.compute_uvwr(s) is sn.compute_uvwr(s)
@@ -281,8 +314,8 @@ def test_sort_descending_matches_checked_constructor(vals):
     want = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
     assert type(got) is sn.SortedSpectrum
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-    assert _bits(got.values) == _bits(want.values)
-    assert _bits(sn.elem_syms(got).as_tuple()) == _bits(sn.elem_syms(want).as_tuple())
+    assert hex_bits(got.values) == hex_bits(want.values)
+    assert hex_bits(sn.elem_syms(got).as_tuple()) == hex_bits(sn.elem_syms(want).as_tuple())
 
 
 def test_stores_keep_the_compact_layout():

@@ -1,6 +1,7 @@
-"""The public surface: every exported name resolves, and the benchmark
-scripts and the README code use only exported names, so a name pruned
-from ``__all__`` breaks these tests before it breaks the benchmark."""
+"""The public surface: every exported name resolves, the benchmark scripts
+and the README code use only exported names, so a name pruned from
+``__all__`` breaks these tests before it breaks the benchmark, and the
+README's Python blocks run as written."""
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _ATTR = re.compile(r"(?<!from )\b(?:sn|sniep5)\.(?!__)([A-Za-z_]\w*)")
 _FROM = re.compile(r"^from sniep5 import \(?([\w, ]+)", re.M)
 _FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+_PYTHON = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def _used_names(text: str) -> set[str]:
@@ -38,3 +40,12 @@ def test_bench_and_readme_use_only_exported_names(source):
     names = _used_names(text)
     assert names, f"no sniep5 names found in {source}"
     assert names <= set(sn.__all__), sorted(names - set(sn.__all__))
+
+
+def test_readme_python_blocks_run():
+    # in order and in one namespace, as a reader would paste them
+    blocks = _PYTHON.findall((ROOT / "README.md").read_text())
+    assert blocks, "no python blocks in the README"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -1,5 +1,6 @@
 """Independent spectral checks: trace-recurrence polynomial, Jacobi eigenvalues."""
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,8 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import verify
-from support import assert_ident, sample_until
+from sniep5.spectrum import _built_matrix
+from support import assert_ident, bytes_each, hex_bits, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 B_DRAW = dict(t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3)
@@ -70,20 +72,11 @@ def test_jacobi_trace_consistency():
 def test_jacobi_no_convergence_budget():
     a = _random_symmetric(np.random.default_rng(109))
     with pytest.raises(sn.NoConvergence):
-        sn.sym_eigenvalues(a, max_sweeps=0)
-
-
-@pytest.mark.parametrize("budget", [-1, -30])
-def test_negative_sweep_budget_is_refused(budget, monkeypatch):
-    calls = []
-    monkeypatch.setattr(verify, "_jacobi", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="max_sweeps"):
-        sn.sym_eigenvalues(np.eye(5), max_sweeps=budget)
-    assert calls == []
+        verify._jacobi(sn.SymMatrix5(a).entries, 0)
 
 
 def test_zero_sweep_budget_accepts_a_diagonal_matrix():
-    assert sn.sym_eigenvalues(np.eye(5), max_sweeps=0).values == (1.0,) * 5
+    assert verify._jacobi(sn.SymMatrix5(np.eye(5)).entries, 0).values == (1.0,) * 5
 
 
 def _big_pair(diag=0.0):
@@ -275,10 +268,6 @@ def _jacobi_reference(m, max_sweeps=30):
     raise AssertionError("unreachable")
 
 
-def _bits(values):
-    return tuple(x.hex() for x in values)
-
-
 def _pattern_matrices(rng, certificate, count, **draw_kw):
     def certified(s):
         return sn.classify(s).certificate is certificate
@@ -315,10 +304,10 @@ def _kernel_cases():
 
 def test_jacobi_bit_identical_to_reference():
     for m in _kernel_cases():
-        want = _bits(_jacobi_reference(m))
-        assert _bits(sn.sym_eigenvalues(m).values) == want
+        want = hex_bits(_jacobi_reference(m))
+        assert hex_bits(sn.sym_eigenvalues(m).values) == want
         if not isinstance(m, sn.SymMatrix5):
-            assert _bits(sn.sym_eigenvalues(sn.SymMatrix5(m)).values) == want
+            assert hex_bits(sn.sym_eigenvalues(sn.SymMatrix5(m)).values) == want
 
 
 def _char_poly_reference(m):
@@ -338,14 +327,13 @@ def _char_poly_reference(m):
 
 def test_char_poly_bit_identical_to_reference():
     for m in _kernel_cases():
-        assert _bits(sn.char_poly_coeffs(m)) == _bits(_char_poly_reference(m))
+        assert hex_bits(sn.char_poly_coeffs(m)) == hex_bits(_char_poly_reference(m))
 
 
 def test_symmatrix_stores_its_eigenvalues():
     m = sn.build_pattern_a(EX1)
     first = sn.sym_eigenvalues(m)
     assert sn.sym_eigenvalues(m) is first
-    assert sn.sym_eigenvalues(m, max_sweeps=verify.MAX_SWEEPS) is first
 
 
 def test_verify_and_entry_bound_share_one_jacobi(monkeypatch):
@@ -361,20 +349,31 @@ def test_verify_and_entry_bound_share_one_jacobi(monkeypatch):
     assert sn.verify_spectrum(m, EX1).passed
     assert sn.entry_bound_check(m)
     assert len(calls) == 1
-    # plain arrays and a non-default budget run the kernel every call
+    # plain arrays run the kernel every call
     a = np.array(m.entries)
     sn.sym_eigenvalues(a)
     sn.sym_eigenvalues(a)
-    sn.sym_eigenvalues(m, max_sweeps=40)
-    sn.sym_eigenvalues(m, max_sweeps=40)
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
-def test_stored_eigenvalues_keep_no_convergence_budget():
-    m = sn.SymMatrix5(_random_symmetric(np.random.default_rng(109)))
-    sn.sym_eigenvalues(m)
-    with pytest.raises(sn.NoConvergence):
-        sn.sym_eigenvalues(m, max_sweeps=0)
+def test_stored_eigenvalues_keep_the_compact_layout(monkeypatch):
+    # bytes per matrix, fresh and after sym_eigenvalues stored one shared
+    # spectrum on it; a store through __dict__ materializes a per-instance
+    # dict, about 60 bytes more
+    rows = sn.build_pattern_a(EX1).entries
+    shared = verify._jacobi(rows, verify.MAX_SWEEPS)
+    monkeypatch.setattr(verify, "_jacobi", lambda entries, max_sweeps: shared)
+
+    def stored():
+        m = _built_matrix(rows, "pattern_a")
+        assert sn.sym_eigenvalues(m) is shared
+        return m
+
+    fresh = bytes_each(lambda: _built_matrix(rows, "pattern_a"))
+    after = bytes_each(stored)
+    # Python 3.10 has no inline instance values, so its layout differs
+    if sys.version_info >= (3, 11):
+        assert after <= fresh + 16, (after, fresh)
 
 
 def test_stored_eigenvalues_leave_identity_semantics():
