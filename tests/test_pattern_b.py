@@ -243,15 +243,17 @@ def test_build_golden_spectrum():
     assert rep.passed
 
 
-@pytest.mark.parametrize("g", [np.float64(EX2_G), np.float32(EX2_G)],
-                         ids=["float64", "float32"])
-def test_build_writes_python_float_rows_for_a_numpy_g(g):
+@pytest.mark.parametrize("g,want_g", [
+    (np.float64(EX2_G), np.float64(EX2_G)),
+    (np.float32(EX2_G), float(np.float32(EX2_G))),
+], ids=["float64", "float32"])
+def test_build_writes_python_float_rows_for_a_numpy_g(g, want_g):
     # the builder's rows skip the public float() conversion, so a numpy g
-    # must give the rows the public constructor would have stored from
-    # the entries at float(g), computed in float64
+    # must give the rows the public constructor would have stored; a
+    # float64 g keeps its bits, a float32 g is built in float64 from its value
     mat = sn.build_pattern_b(EX2, g)
     assert all(type(x) is float for row in mat.entries for x in row)
-    rows = pattern_b_entries(EX2, float(g))
+    rows = pattern_b_entries(EX2, want_g)
     public = sn.SymMatrix5(rows, provenance="pattern_b")
     assert [x.hex() for row in mat.entries for x in row] == \
         [x.hex() for row in public.entries for x in row]

@@ -1,6 +1,5 @@
 """Independent spectral checks: trace-recurrence polynomial, Jacobi eigenvalues."""
 import math
-import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -371,9 +370,9 @@ def test_stored_eigenvalues_keep_the_compact_layout(monkeypatch):
 
     fresh = bytes_each(lambda: _built_matrix(rows, "pattern_a"))
     after = bytes_each(stored)
-    # Python 3.10 has no inline instance values, so its layout differs
-    if sys.version_info >= (3, 11):
-        assert after <= fresh + 16, (after, fresh)
+    # on 3.10 every instance carries a dict, so the store adds a key to it
+    # and the bound holds at both layouts; from 3.11 it guards the inline one
+    assert after <= fresh + 16, (after, fresh)
 
 
 def test_stored_eigenvalues_leave_identity_semantics():
