@@ -21,8 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BoundaryProximityWarning, NotTraceZero
-from .pattern_a import build_pattern_a, pattern_a_conditions
-from .pattern_b import build_pattern_b, pattern_b_conditions
+from .pattern_a import build_pattern_a
+from .pattern_b import build_pattern_b, find_g
 from .spectrum import SortedSpectrum, SymMatrix5
 
 BOUNDARY_WARN_TOL = 1e-12
@@ -171,14 +171,14 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
             Verdict.NOT_REALIZABLE, None, Reason.NEGATED_PERRON_BOUNDARY, det
         )
 
-    report_a = pattern_a_conditions(s)
-    if report_a.passed:
+    # the rules above proved the gates' shared region checks: lam5 > -lam1
+    # (lam1 >= -lam5 and lam5 != -lam1), e1 >= 0, and lam3 > e1; so each
+    # pattern is decided by the one check its gate adds
+    if s.uvwr.r >= 0.0:
         return _decided(Verdict.REALIZABLE, Certificate.PATTERN_A, None, det)
-    report_b = pattern_b_conditions(s)
-    if report_b.passed:
-        return _decided(
-            Verdict.REALIZABLE, Certificate.PATTERN_B, None, det, report_b.g
-        )
+    g = find_g(s)
+    if g is not None:
+        return _decided(Verdict.REALIZABLE, Certificate.PATTERN_B, None, det, g)
     return _decided(Verdict.UNKNOWN, None, None, det)
 
 

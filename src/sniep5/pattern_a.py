@@ -24,6 +24,7 @@ from .spectrum import (
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
+    _checked_sorted,
     _region_checks,
 )
 
@@ -79,6 +80,15 @@ def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
         raise PreconditionViolated(
             f"spectrum fails the five-cycle gate: {', '.join(report.failed)}",
             report.failed,
+        )
+    if not all(map(math.isfinite, sc)):
+        # v, of degree 6, overflows first; the entries are homogeneous of
+        # degree 1, so build at lam1 ~ 1 and scale back by the same power of 2
+        k = math.frexp(s.lam1)[1]
+        scaled = _checked_sorted(tuple(math.ldexp(x, -k) for x in s.values))
+        rows = build_pattern_a(scaled).entries
+        return _built_matrix(
+            tuple(tuple(math.ldexp(x, k) for x in row) for row in rows), "pattern_a"
         )
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")

@@ -303,9 +303,14 @@ def test_08_region_grid_soundness():
                                    row.lambda4, row.lambda5))
             if row.verdict is Verdict.REALIZABLE and row.tag in (
                     Certificate.PATTERN_A.value, Certificate.PATTERN_B.value):
+                # classify asks each pattern only for its own check; the
+                # named gate must pass in full, with the same g
                 if row.tag == Certificate.PATTERN_A.value:
+                    assert sn.pattern_a_conditions(s), s.values
                     mat = sn.build_pattern_a(s)
                 else:
+                    report = sn.pattern_b_conditions(s)
+                    assert report and report.g.hex() == row.g.hex(), s.values
                     mat = sn.build_pattern_b(s, row.g)
                 assert sn.verify_spectrum(mat, s, rel_tol=1e-8).passed, s.values
                 built += 1

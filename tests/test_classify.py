@@ -1,15 +1,19 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
 import hashlib
+import math
 import random
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
+from sniep5.spectrum import _region_checks
 from support import bytes_each, poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -427,3 +431,111 @@ def test_internal_decisions_keep_the_compact_layout():
     public = bytes_each(lambda: sn.RealizabilityDecision(
         Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED, details=det))
     assert internal <= public + 16, (internal, public)
+
+
+def _crossing(vals, i, lo, hi, f):
+    """The two adjacent floats in [lo, hi] between which f changes sign when
+    they are put in entry i of ``vals``, or None when f keeps its sign."""
+    def at(x):
+        v = list(vals)
+        v[i] = x
+        return tuple(v)
+
+    below = f(at(lo)) < 0.0
+    if below == (f(at(hi)) < 0.0):
+        return None
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return lo, hi
+        if (f(at(mid)) < 0.0) == below:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _e1(vals):
+    return sn.SortedSpectrum(vals).elem_syms.e1
+
+
+# each sign change is found by bisecting lam4; lam3 - e1 does not move
+# with lam3 itself
+_SIGN_CHANGES = {
+    "e1": _e1,
+    "lam3_minus_e1": lambda vals: vals[2] - _e1(vals),
+    "r": lambda vals: sn.SortedSpectrum(vals).uvwr.r,
+}
+
+
+@st.composite
+def _near_a_rule_boundary(draw):
+    """A descending list within 1 ulp of lam5 = -lam1, e1 = 0, lam3 = e1 or
+    r = 0, the boundaries that classify's rule order relies on."""
+    name = draw(st.sampled_from(("lam5_plus_lam1", *_SIGN_CHANGES)))
+    l1 = draw(st.floats(0.5, 2.0))
+    l2 = l1 * draw(st.floats(0.3, 0.6))
+    # lam3 close to lam2 is where the two-paths pattern lives
+    l3 = l2 * draw(st.floats(0.5, 1.0) | st.floats(0.97, 1.0))
+    step = draw(st.sampled_from((-1, 0, 1)))
+    if name == "lam5_plus_lam1":
+        # lam2 + lam4 < 0 <= lam2 + lam3 + lam4 puts e1 in [0, lam3)
+        l4 = -l2 - l3 * draw(st.floats(0.0, 1.0))
+        l5 = -l1 if step == 0 else math.nextafter(-l1, step * math.inf)
+        assume(l4 >= l5)
+        return name, (l1, l2, l3, l4, l5)
+    l5 = -l1 * draw(st.floats(0.55, 0.95))
+    lo, hi = l5, l3
+    if name == "r":  # where e1 is in [0, lam3), so the pattern stage runs
+        lo, hi = max(l5, -(l1 + l2 + l3 + l5)), min(l3, -(l1 + l2 + l5))
+    assume(lo < hi)
+    pair = _crossing((l1, l2, l3, lo, l5), 3, lo, hi, _SIGN_CHANGES[name])
+    assume(pair is not None)
+    x = pair[0] if step <= 0 else pair[1]
+    if step:
+        x = math.nextafter(x, step * math.inf)
+    assume(l3 >= x >= l5)
+    return name, (l1, l2, l3, x, l5)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_near_a_rule_boundary())
+@example(("r", EX1.values))
+@example(("r", EX2.values))
+@example(("r", UNKNOWN_GOLDEN.values))
+def test_pattern_stage_verdicts_agree_with_the_named_gates(case):
+    # classify asks each pattern only for the check its gate adds, because
+    # the earlier rules proved the shared region checks
+    _, vals = case
+    s = sn.SortedSpectrum(vals)
+    d = _quiet_classify(s)
+    if d.verdict is not Verdict.UNKNOWN and d.certificate not in (
+            Certificate.PATTERN_A, Certificate.PATTERN_B):
+        return
+    assert all(ok for _, ok in _region_checks(s)), vals
+    report_a = sn.pattern_a_conditions(s)
+    report_b = sn.pattern_b_conditions(s)
+    if d.certificate is Certificate.PATTERN_A:
+        assert report_a, vals
+    elif d.certificate is Certificate.PATTERN_B:
+        assert not report_a and report_b, vals
+        assert d.g.hex() == report_b.g.hex(), vals
+    else:
+        assert not report_a and not report_b, vals
+
+
+def test_classify_builds_no_gate_report(monkeypatch):
+    built = []
+    init = sn.ConditionReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sn.ConditionReport, "__init__", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        rows = list(sn.sample_region(24, [0.0, 0.1, 0.35]))
+    # calling both gates from classify built 24,708 reports for these rows
+    assert len(rows) == 18_290 and not built
+    sn.build_pattern_a(EX1)
+    assert len(built) == 1

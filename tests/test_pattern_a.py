@@ -156,3 +156,26 @@ def test_entries_characteristic_polynomial_matches_targets():
             assert_ident(coeffs[k], (-1.0) ** k * es[k - 1], 1e-8,
                          scale=math.comb(5, k) * m ** k)
         done += 1
+
+
+@pytest.mark.parametrize("exponent", [52, 70, 102])
+def test_build_scales_past_overflowed_scalars(exponent):
+    rng = np.random.default_rng(43)
+    overflowed = 0
+    for s in sample_until(rng, lambda s: bool(sn.pattern_a_conditions(s)), 50):
+        big = sn.SortedSpectrum(tuple(v * 10.0 ** exponent for v in s.values))
+        assert sn.pattern_a_conditions(big)
+        overflowed += not all(map(math.isfinite, big.uvwr))
+        mat = sn.build_pattern_a(big)
+        assert sn.verify_spectrum(mat, big, rel_tol=1e-9).passed, big.values
+        assert sn.entry_bound_check(mat), big.values
+    assert overflowed  # the scaled path ran
+
+
+def test_build_with_finite_scalars_is_the_entry_formula():
+    rng = np.random.default_rng(47)
+    for s in sample_until(rng, lambda s: bool(sn.pattern_a_conditions(s)), 300):
+        for big in (s, sn.SortedSpectrum(tuple(v * 1e50 for v in s.values))):
+            assert all(map(math.isfinite, big.uvwr))
+            rows = pattern_a_entries(big)
+            assert sn.build_pattern_a(big).entries == rows

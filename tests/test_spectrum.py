@@ -474,14 +474,18 @@ def test_builder_matrix_keeps_the_checks_that_can_fail(bad, message):
             make(rows, "pattern_b")
 
 
-def test_realize_reports_an_overflowed_five_cycle_entry():
-    # classify certifies the list, but v, a product of six sums, overflows
+def test_realize_builds_a_five_cycle_matrix_past_an_overflowed_scalar():
+    # classify certifies the list, but v, a product of six sums, overflows;
+    # the builder then works on the list scaled by a power of 2
     s = sn.sort_descending(
         sn.parse_spectrum("1e52,0.381e52,0.36e52,-0.641e52,-0.75e52"))
     decision = sn.classify(s)
     assert decision.certificate is sn.Certificate.PATTERN_A
-    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-        sn.realize(s, decision)
+    assert s.uvwr.v == math.inf
+    m = sn.realize(s, decision)
+    assert m.provenance == "pattern_a"
+    assert sn.verify_spectrum(m, s).passed
+    assert sn.entry_bound_check(m)
 
 
 def test_sym_matrix_parse_rejects_asymmetric_text():
