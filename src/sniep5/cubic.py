@@ -102,6 +102,9 @@ def _polish(c3, c2, c1, c0, x):
 
     Each iterate's residual is evaluated once, by Horner's rule in the
     association order of :func:`evaluate`, and reused for the next step.
+    A step that leaves ``x`` unchanged ends the loop: ``x`` is then a fixed
+    point, every later step would repeat it, and its residual was already
+    weighed, so no later iterate could become the best one.
     """
     d3 = 3.0 * c3
     d2 = 2.0 * c2
@@ -111,7 +114,10 @@ def _polish(c3, c2, c1, c0, x):
         df = (d3 * x + d2) * x + c1
         if df == 0.0:
             break
-        x -= f / df
+        step = x - f / df
+        if step == x:
+            break
+        x = step
         f = ((c3 * x + c2) * x + c1) * x + c0
         fx = abs(f)
         if fx < best_f:

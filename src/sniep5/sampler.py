@@ -33,7 +33,8 @@ class RegionSample(NamedTuple):
     """One classified grid point; lam1 is normalized to 1.
 
     A ``NamedTuple`` whose fields come in CSV column order, so it compares
-    equal to the plain tuple of its fields.
+    equal to the plain tuple of its fields.  The sweep builds each one with
+    ``tuple.__new__``, past the Python-level ``__new__`` of the class.
     """
 
     lambda2: float
@@ -109,10 +110,10 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                         continue
                     decision = classify(s)
                     u, _, _, r = s.uvwr
-                    yield RegionSample(
+                    yield tuple.__new__(RegionSample, (
                         x, y, lam4, lam5, e1, u, r, decision.g,
                         decision.verdict, decision_tag(decision),
-                    )
+                    ))
                     emitted += 1
     if emitted == 0:
         raise EmptyGrid("no feasible grid point for any requested t")

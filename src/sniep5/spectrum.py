@@ -12,7 +12,9 @@ stores them on itself with ``object.__setattr__``; later reads find them
 there, with no lock and no per-instance dict.  The expansion is written
 out factor by factor, so each e_k comes out bit-identical to the loop
 ``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
-``NamedTuple``s and so compare equal to plain tuples.
+``NamedTuple``s and so compare equal to plain tuples.  They are built with
+``tuple.__new__(cls, values)``, which gives the same value without the
+Python-level ``__new__`` that ``NamedTuple`` generates.
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ def _expand(a: float, b: float, c: float, d: float, e: float) -> ElemSyms:
     s2 = (0.0 - r1 * d) + r2
     s3 = (0.0 - r2 * d) + r3
     s4 = 0.0 - r3 * d
-    return ElemSyms(
+    return tuple.__new__(ElemSyms, (
         -((0.0 - e) + s1),
         (0.0 - s1 * e) + s2,
         -((0.0 - s2 * e) + s3),
         (0.0 - s3 * e) + s4,
         -(0.0 - s4 * e),
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class SortedSpectrum(Spectrum):
         )
         w = l2 * l5 * e1 - l1 * l3 * l4
         r = e3 + e1 * (l2 * l2 + l5 * l5)
-        return PatternAScalars(u, v, w, r)
+        return tuple.__new__(PatternAScalars, (u, v, w, r))
 
 
 class ElemSyms(NamedTuple):

@@ -24,8 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
-from .spectrum import SortedSpectrum, Spectrum, SymMatrix5, sort_descending
+from .errors import InvalidSpectrum, NoConvergence
+from .spectrum import (
+    SortedSpectrum,
+    Spectrum,
+    SymMatrix5,
+    _checked_sorted,
+    sort_descending,
+)
 
 OFF_NORM_TOL = 1e-13
 MAX_SWEEPS = 30
@@ -50,22 +56,34 @@ def char_poly_coeffs(m) -> tuple[float, float, float, float, float, float]:
         n_k = M (n_{k-1} + a_{k-1} I),   a_k = -tr(n_k)/k.
 
     The products stay numpy's, whose bits a Python dot product does not
-    reproduce.  Each trace is summed in Python over the diagonal read back
-    as floats, as ``0.0 + d00 + ... + d44``.  That matches numpy's
-    ``trace()`` bit for bit; the leading ``0.0`` makes a diagonal of
-    negative zeros sum to +0.0, as ``trace()`` does.
+    reproduce.  M is built from the 25 entries read flat, and the recurrence
+    runs in two 5x5 buffers made once per call, ``buf`` for n_{k-1} +
+    a_{k-1} I and ``n`` for the product; every step is the same numpy
+    operation on the same operands as the expression it replaces.  Each
+    trace is summed in Python over the diagonal read back as floats, as
+    ``0.0 + d00 + ... + d44``.  That matches numpy's ``trace()`` bit for
+    bit; the leading ``0.0`` makes a diagonal of negative zeros sum to
+    +0.0, as ``trace()`` does.
     """
-    r = _matrix(m).entries
-    a = np.array(r)
-    dot = a.dot
-    c = -(0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3] + r[4][4])
+    r0, r1, r2, r3, r4 = _matrix(m).entries
+    flat = (*r0, *r1, *r2, *r3, *r4)
+    a = np.array(flat).reshape(5, 5)
+    buf = np.empty((5, 5))
+    n = np.empty((5, 5))
+    diag = n.diagonal()
+    c = -(0.0 + flat[0] + flat[6] + flat[12] + flat[18] + flat[24])
     coeffs = [1.0, c]
-    n = a
+    src = a
     for k in range(2, 6):
-        n = dot(n + c * _EYE)
-        r = n.tolist()
-        c = -(0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3] + r[4][4]) / k
+        # n = a.dot(src + c * I) with numpy's bits; out is passed by
+        # position, which numpy parses faster than the keyword
+        np.multiply(c, _EYE, buf)
+        np.add(src, buf, buf)
+        np.dot(a, buf, n)
+        d = diag.tolist()
+        c = -(0.0 + d[0] + d[1] + d[2] + d[3] + d[4]) / k
         coeffs.append(c)
+        src = n
     return tuple(coeffs)
 
 
@@ -80,6 +98,12 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
     sign also pass the symmetry check; they move no result bit, because a
     zero's sign can only change the sign of another zero, and a zero is
     never a pivot.
+
+    Each rotation picks its tangent's sign by a branch, ``-1 / (sqrt(1 +
+    theta^2) - theta)`` for theta < 0, which rounds as the negated
+    ``1 / (|theta| + sqrt(1 + theta^2))`` does, and forms ``t * apq`` once
+    for both diagonal updates.  The converged diagonal, sorted, gets the
+    one check of :class:`SortedSpectrum` that it can fail, finiteness.
 
     ``fro`` stays a ``sum()`` over all 25 squares in row-major order, each
     mirrored square written twice, because Python 3.12's ``sum()`` of floats
@@ -129,8 +153,11 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
             + a34 * a34
         )
         if sqrt(2.0 * off) <= thresh:
-            diag = (a00, a11, a22, a33, a44)
-            return SortedSpectrum(tuple(sorted(diag, reverse=True)))
+            # SortedSpectrum's one check that a sorted diagonal can fail
+            diag = tuple(sorted((a00, a11, a22, a33, a44), reverse=True))
+            if not all(map(math.isfinite, diag)):
+                raise InvalidSpectrum(f"non-finite entry in {diag}")
+            return _checked_sorted(diag)
         if sweep == max_sweeps:
             raise NoConvergence(
                 f"off-diagonal norm {sqrt(2.0 * off):.3e} above "
@@ -138,120 +165,140 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
             )
         if a01 != 0.0:
             theta = 0.5 * (a11 - a00) / a01
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a00, a11 = a00 - t * a01, a11 + t * a01
+            ta = t * a01
+            a00, a11 = a00 - ta, a11 + ta
             a01 = 0.0
             a02, a12 = c * a02 - s * a12, s * a02 + c * a12
             a03, a13 = c * a03 - s * a13, s * a03 + c * a13
             a04, a14 = c * a04 - s * a14, s * a04 + c * a14
         if a02 != 0.0:
             theta = 0.5 * (a22 - a00) / a02
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a00, a22 = a00 - t * a02, a22 + t * a02
+            ta = t * a02
+            a00, a22 = a00 - ta, a22 + ta
             a02 = 0.0
             a01, a12 = c * a01 - s * a12, s * a01 + c * a12
             a03, a23 = c * a03 - s * a23, s * a03 + c * a23
             a04, a24 = c * a04 - s * a24, s * a04 + c * a24
         if a03 != 0.0:
             theta = 0.5 * (a33 - a00) / a03
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a00, a33 = a00 - t * a03, a33 + t * a03
+            ta = t * a03
+            a00, a33 = a00 - ta, a33 + ta
             a03 = 0.0
             a01, a13 = c * a01 - s * a13, s * a01 + c * a13
             a02, a23 = c * a02 - s * a23, s * a02 + c * a23
             a04, a34 = c * a04 - s * a34, s * a04 + c * a34
         if a04 != 0.0:
             theta = 0.5 * (a44 - a00) / a04
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a00, a44 = a00 - t * a04, a44 + t * a04
+            ta = t * a04
+            a00, a44 = a00 - ta, a44 + ta
             a04 = 0.0
             a01, a14 = c * a01 - s * a14, s * a01 + c * a14
             a02, a24 = c * a02 - s * a24, s * a02 + c * a24
             a03, a34 = c * a03 - s * a34, s * a03 + c * a34
         if a12 != 0.0:
             theta = 0.5 * (a22 - a11) / a12
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a11, a22 = a11 - t * a12, a22 + t * a12
+            ta = t * a12
+            a11, a22 = a11 - ta, a22 + ta
             a12 = 0.0
             a01, a02 = c * a01 - s * a02, s * a01 + c * a02
             a13, a23 = c * a13 - s * a23, s * a13 + c * a23
             a14, a24 = c * a14 - s * a24, s * a14 + c * a24
         if a13 != 0.0:
             theta = 0.5 * (a33 - a11) / a13
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a11, a33 = a11 - t * a13, a33 + t * a13
+            ta = t * a13
+            a11, a33 = a11 - ta, a33 + ta
             a13 = 0.0
             a01, a03 = c * a01 - s * a03, s * a01 + c * a03
             a12, a23 = c * a12 - s * a23, s * a12 + c * a23
             a14, a34 = c * a14 - s * a34, s * a14 + c * a34
         if a14 != 0.0:
             theta = 0.5 * (a44 - a11) / a14
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a11, a44 = a11 - t * a14, a44 + t * a14
+            ta = t * a14
+            a11, a44 = a11 - ta, a44 + ta
             a14 = 0.0
             a01, a04 = c * a01 - s * a04, s * a01 + c * a04
             a12, a24 = c * a12 - s * a24, s * a12 + c * a24
             a13, a34 = c * a13 - s * a34, s * a13 + c * a34
         if a23 != 0.0:
             theta = 0.5 * (a33 - a22) / a23
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a22, a33 = a22 - t * a23, a33 + t * a23
+            ta = t * a23
+            a22, a33 = a22 - ta, a33 + ta
             a23 = 0.0
             a02, a03 = c * a02 - s * a03, s * a02 + c * a03
             a12, a13 = c * a12 - s * a13, s * a12 + c * a13
             a24, a34 = c * a24 - s * a34, s * a24 + c * a34
         if a24 != 0.0:
             theta = 0.5 * (a44 - a22) / a24
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a22, a44 = a22 - t * a24, a44 + t * a24
+            ta = t * a24
+            a22, a44 = a22 - ta, a44 + ta
             a24 = 0.0
             a02, a04 = c * a02 - s * a04, s * a02 + c * a04
             a12, a14 = c * a12 - s * a14, s * a12 + c * a14
             a23, a34 = c * a23 - s * a34, s * a23 + c * a34
         if a34 != 0.0:
             theta = 0.5 * (a44 - a33) / a34
-            t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (sqrt(1.0 + theta * theta) - theta)
+            else:
+                t = 1.0 / (theta + sqrt(1.0 + theta * theta))
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
-            a33, a44 = a33 - t * a34, a44 + t * a34
+            ta = t * a34
+            a33, a44 = a33 - ta, a44 + ta
             a34 = 0.0
             a03, a04 = c * a03 - s * a04, s * a03 + c * a04
             a13, a14 = c * a13 - s * a14, s * a13 + c * a14
@@ -301,18 +348,23 @@ def verify_spectrum(m, s: Spectrum, rel_tol: float = 1e-9) -> VerificationReport
 
     A target that is not a :class:`SortedSpectrum` is sorted largest first,
     so its entries may come in any order.  Passes when every pairwise
-    deviation stays within ``rel_tol * max(1, |lam1|)`` of the target.
-    ``rel_tol`` must be finite and positive: an infinite tolerance would
-    pass any matrix.
+    deviation stays within ``rel_tol * max|lam_i|`` of the target, a bound
+    relative at every scale, so a tiny target is not passed by any tiny
+    matrix.  ``rel_tol`` must be finite and positive: an infinite tolerance
+    would pass any matrix.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not isinstance(s, SortedSpectrum):
         s = sort_descending(s)  # eigenvalues are a multiset
-    eigs = sym_eigenvalues(m)
-    dev = max(abs(a - b) for a, b in zip(eigs.values, s.values))
-    bound = rel_tol * max(1.0, abs(s.lam1))
-    return VerificationReport(dev <= bound, dev, eigs.values, s.values, rel_tol)
+    eigs = sym_eigenvalues(m).values
+    t1, t2, t3, t4, t5 = target = s.values
+    x1, x2, x3, x4, x5 = eigs
+    dev = max(abs(x1 - t1), abs(x2 - t2), abs(x3 - t3), abs(x4 - t4),
+              abs(x5 - t5))
+    # max|lam_i| of the sorted target sits at one of its ends
+    bound = rel_tol * max(abs(t1), abs(t5))
+    return VerificationReport(dev <= bound, dev, eigs, target, rel_tol)
 
 
 def entry_bound_check(m) -> bool:

@@ -325,6 +325,18 @@ def test_verify_fails_a_matrix_whose_norm_overflows(tmp_path):
     assert "FAIL" in text
 
 
+def test_verify_fails_a_tiny_matrix_against_a_tiny_target(tmp_path):
+    # the tolerance is relative to max|lam_i|, not to max(1, lam1)
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][0] = 1e-30
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(rows))
+    code, text = run("verify", "--spectrum", "4e-30,2e-30,1e-30,-3e-30,-4e-30",
+                     "--matrix", str(path))
+    assert code == 3
+    assert "FAIL" in text
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_verify_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
     # diag(0, 0, 0, 0, 1) is nowhere near EX1; an infinite tolerance passed it

@@ -247,3 +247,33 @@ def test_polish_bit_identical_to_reference_loop():
 def test_thirds_are_the_angles_they_replace():
     want = tuple(2.0 * math.pi * k / 3.0 for k in (0, 1, 2))
     assert hex_bits(cubic._THIRDS) == hex_bits(want)
+
+
+def _fixed_point_cubics():
+    rng = np.random.default_rng(43)
+    for _ in range(20_000):
+        scale = 10.0 ** float(rng.integers(-6, 7))
+        coeffs = tuple(float(c) * scale for c in rng.uniform(-100, 100, 4))
+        if coeffs[0] != 0.0:
+            yield coeffs
+    # a root at exactly 0, where Newton can step between -0.0 and 0.0
+    for _ in range(200):
+        c3, c2, c1 = (float(c) for c in rng.uniform(-10, 10, 3))
+        yield (c3 or 1.0, c2, c1, 0.0)
+    # Q's from both pattern boxes, double and triple roots
+    yield from _reference_cubics()
+
+
+def test_polish_fixed_point_exit_keeps_every_root_bit():
+    # _polish_reference has no fixed-point exit: it takes all four steps
+    # unless Q' or the residual reaches zero
+    cubics = list(_fixed_point_cubics())
+    assert len(cubics) > 20_000
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cubic, "_polish", _polish_reference)
+        want = [hex_bits(cubic.real_roots(*c)) for c in cubics]
+    starts = (-0.0, 0.0, -1.0, 0.5, 3.0)
+    for c, roots in zip(cubics, want):
+        assert hex_bits(cubic.real_roots(*c)) == roots, c
+        assert (hex_bits(cubic._polish(*c, x) for x in starts)
+                == hex_bits(_polish_reference(*c, x) for x in starts)), c

@@ -49,3 +49,23 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_value_records_keep_their_named_tuple_behavior():
+    # the three records are built with tuple.__new__, not their __new__
+    s = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
+    row = next(iter(sn.sample_region(6, [0.1])))
+    cases = [
+        (sn.elem_syms(s), sn.ElemSyms, ("e1", "e2", "e3", "e4", "e5")),
+        (s.uvwr, sn.PatternAScalars, ("u", "v", "w", "r")),
+        (row, sn.RegionSample, sn.CSV_HEADER.split(",")),
+    ]
+    for value, cls, fields in cases:
+        assert type(value) is cls
+        plain = tuple(value)
+        assert value == plain and plain == value
+        assert hash(value) == hash(plain)
+        assert list(value._asdict()) == list(fields)
+        assert tuple(value._asdict().values()) == plain
+        assert [getattr(value, f) for f in fields] == list(plain)
+        assert cls(*plain) == value

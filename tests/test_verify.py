@@ -147,12 +147,39 @@ def test_verify_spectrum_sorts_an_unsorted_target(order):
 
 
 def test_verify_spectrum_tolerance_scale():
-    # the bound is relative to max(1, lam1): a loose tolerance passes a
+    # the bound is relative to max|lam_i|: a loose tolerance passes a
     # deliberately nudged target, a tight one rejects it
     mat = sn.build_pattern_a(EX1)
     nudged = sn.SortedSpectrum((1000.0 + 1e-4, 381.0, 360.0, -641.0, -750.0))
     assert sn.verify_spectrum(mat, nudged, rel_tol=1e-6).passed
     assert not sn.verify_spectrum(mat, nudged, rel_tol=1e-9).passed
+
+
+def test_verify_spectrum_fails_a_tiny_matrix_far_from_a_tiny_target():
+    # each eigenvalue misses the target by up to 4e-30, all of the scale;
+    # a bound of rel_tol * max(1, |lam1|) passed it
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][0] = 1e-30
+    rep = sn.verify_spectrum(rows, sn.Spectrum((4e-30, 2e-30, 1e-30, -3e-30,
+                                                -4e-30)))
+    assert not rep.passed
+    assert rep.max_deviation == 4e-30
+
+
+@pytest.mark.parametrize("k", [-36, -16, 40])
+def test_verify_spectrum_passes_a_realizing_matrix_scaled(k):
+    # scaling by a power of two is exact, and so is every rounding of the
+    # sweep under it, so the deviation scales with the target and the
+    # relative bound passes it; k = -36 (lam1 ~ 1.5e-8) is about the
+    # smallest scale at which the sweep's absolute convergence floor,
+    # 1e-13 * (1 + ||M||_F), still lets it rotate
+    at_one = sn.verify_spectrum(sn.build_pattern_a(EX1), EX1)
+    small = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in EX1.values))
+    rows = [[math.ldexp(x, k) for x in row]
+            for row in sn.build_pattern_a(EX1).entries]
+    rep = sn.verify_spectrum(rows, small)
+    assert rep.passed
+    assert rep.max_deviation == math.ldexp(at_one.max_deviation, k)
 
 
 def test_verify_spectrum_rejects_bad_tolerance():
@@ -327,6 +354,32 @@ def _char_poly_reference(m):
 def test_char_poly_bit_identical_to_reference():
     for m in _kernel_cases():
         assert hex_bits(sn.char_poly_coeffs(m)) == hex_bits(_char_poly_reference(m))
+
+
+def _overflow_cases():
+    # entries near 1e80: the fifth power overflows, so coefficients come
+    # out infinite, or NaN where infinities of both signs meet
+    rng = np.random.default_rng(127)
+    cases = [_random_symmetric(rng) * 1e80 for _ in range(20)]
+    cases += [np.abs(_random_symmetric(rng)) * 1e80 for _ in range(10)]
+    cases.append(np.diag([1e80, -1e80, 3e79, 0.0, -2e80]))
+    cases.append(np.full((5, 5), 1e80))
+    return cases
+
+
+def test_char_poly_bit_identical_to_reference_past_overflow():
+    # each overflowed call sits between two finite ones, so a call that
+    # read another call's values would show in the bits
+    overflowing = _overflow_cases()
+    finite = _kernel_cases()[:len(overflowing) + 1]
+    cases = [m for pair in zip(finite, overflowing) for m in pair]
+    cases.append(finite[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [hex_bits(sn.char_poly_coeffs(m)) for m in cases]
+        want = [hex_bits(_char_poly_reference(m)) for m in cases]
+    assert got == want
+    assert any("inf" in c for coeffs in got for c in coeffs)
+    assert any("nan" in c for coeffs in got for c in coeffs)
 
 
 def test_symmatrix_stores_its_eigenvalues():
