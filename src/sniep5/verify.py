@@ -24,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpectrum, NoConvergence
-from .spectrum import (
-    SortedSpectrum,
-    Spectrum,
-    SymMatrix5,
-    _checked_sorted,
-    sort_descending,
-)
+from .errors import NoConvergence
+from .spectrum import SortedSpectrum, Spectrum, SymMatrix5, sort_descending
 
 OFF_NORM_TOL = 1e-13
 MAX_SWEEPS = 30
@@ -102,13 +96,14 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
     Each rotation picks its tangent's sign by a branch, ``-1 / (sqrt(1 +
     theta^2) - theta)`` for theta < 0, which rounds as the negated
     ``1 / (|theta| + sqrt(1 + theta^2))`` does, and forms ``t * apq`` once
-    for both diagonal updates.  The converged diagonal, sorted, gets the
-    one check of :class:`SortedSpectrum` that it can fail, finiteness.
+    for both diagonal updates.
 
     ``fro`` stays a ``sum()`` over all 25 squares in row-major order, each
     mirrored square written twice, because Python 3.12's ``sum()`` of floats
     is compensated and a ``+`` chain would round differently there.  Only
-    when that norm overflows are the rows swept at a power-of-two scale.
+    when that norm overflows or falls under 1/2 are the rows swept at a
+    power-of-two scale, so every matrix with a norm in [0.5, inf) keeps
+    its bits.
     """
     sqrt = math.sqrt
     (
@@ -128,22 +123,27 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
         s03, s13, s23, a33 * a33, s34,
         s04, s14, s24, s34, a44 * a44,
     )))
-    if fro == math.inf:
-        # the norm overflows, and an infinite threshold would pass the
-        # unrotated diagonal: sweep the rows scaled by 2^-k, which brings
-        # the largest |entry| into [0.5, 1) and rounds only entries that
-        # land below 2^-1022, far under the eigenvalues' rounding; then
-        # scale back
-        k = math.frexp(max(abs(x) for row in rows for x in row))[1]
-        scaled = [[math.ldexp(x, -k) for x in row] for row in rows]
-        eigs = _jacobi(scaled, max_sweeps).values
-        try:
-            return SortedSpectrum(tuple(math.ldexp(x, k) for x in eigs))
-        except OverflowError:
-            raise NoConvergence(
-                f"an eigenvalue, {max(eigs[0], -eigs[4])!r} * 2**{k}, "
-                "overflows a float"
-            ) from None
+    if not 0.5 <= fro < math.inf:
+        big = max(abs(x) for row in rows for x in row)
+        if big != 0.0:
+            # the threshold below would pass the unrotated diagonal: an
+            # overflowed norm makes it infinite, and under a norm of 1/2
+            # its absolute floor, 1e-13 * (1 + fro), dwarfs the entries.
+            # Sweep the rows scaled by 2^-k, which brings the largest
+            # |entry| into [0.5, 1), so the norm lands in [0.5, 5) and this
+            # branch is not taken again, and rounds only entries that land
+            # below 2^-1022, far under the eigenvalues' rounding; then
+            # scale back.  The zero matrix is its own diagonal.
+            k = math.frexp(big)[1]
+            scaled = [[math.ldexp(x, -k) for x in row] for row in rows]
+            eigs = _jacobi(scaled, max_sweeps).values
+            try:
+                return SortedSpectrum(tuple(math.ldexp(x, k) for x in eigs))
+            except OverflowError:
+                raise NoConvergence(
+                    f"an eigenvalue, {max(eigs[0], -eigs[4])!r} * 2**{k}, "
+                    "overflows a float"
+                ) from None
     thresh = OFF_NORM_TOL * (1.0 + fro)
     for sweep in range(max_sweeps + 1):
         off = (
@@ -153,11 +153,8 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
             + a34 * a34
         )
         if sqrt(2.0 * off) <= thresh:
-            # SortedSpectrum's one check that a sorted diagonal can fail
-            diag = tuple(sorted((a00, a11, a22, a33, a44), reverse=True))
-            if not all(map(math.isfinite, diag)):
-                raise InvalidSpectrum(f"non-finite entry in {diag}")
-            return _checked_sorted(diag)
+            diag = (a00, a11, a22, a33, a44)
+            return SortedSpectrum(tuple(sorted(diag, reverse=True)))
         if sweep == max_sweeps:
             raise NoConvergence(
                 f"off-diagonal norm {sqrt(2.0 * off):.3e} above "
@@ -311,7 +308,10 @@ def sym_eigenvalues(m) -> SortedSpectrum:
     """Eigenvalues of an exactly-symmetric 5x5 matrix, descending.
 
     Row-cyclic Jacobi sweeps with no rotation thresholding; converged once
-    the off-diagonal Frobenius norm drops below 1e-13 * (1 + ||M||_F).
+    the off-diagonal Frobenius norm drops below 1e-13 * (1 + ||M||_F).  A
+    matrix whose norm overflows or falls under 1/2 is swept scaled by a
+    power of two that brings its largest entry into [0.5, 1), so that
+    floor stays relative to the matrix at every scale.
     Raises :class:`NoConvergence` if ``MAX_SWEEPS`` sweeps do not converge.
 
     A :class:`SymMatrix5` cannot change, so its eigenvalues are computed

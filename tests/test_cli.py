@@ -316,25 +316,19 @@ def test_verify_detects_wrong_spectrum(tmp_path):
 
 
 def test_verify_fails_a_matrix_whose_norm_overflows(tmp_path):
-    rows = [[0.0] * 5 for _ in range(5)]
-    rows[0][1] = rows[1][0] = 1e160
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(rows))
-    code, text = run("verify", "--spectrum", "0,0,0,0,0", "--matrix", str(path))
-    assert code == 3
-    assert "FAIL" in text
-
-
-def test_verify_fails_a_tiny_matrix_against_a_tiny_target(tmp_path):
-    # the tolerance is relative to max|lam_i|, not to max(1, lam1)
-    rows = [[0.0] * 5 for _ in range(5)]
-    rows[0][0] = 1e-30
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(rows))
-    code, text = run("verify", "--spectrum", "4e-30,2e-30,1e-30,-3e-30,-4e-30",
-                     "--matrix", str(path))
-    assert code == 3
-    assert "FAIL" in text
+    big = [[0.0] * 5 for _ in range(5)]
+    big[0][1] = big[1][0] = 1e160
+    # and a tiny matrix far from a tiny target: the tolerance is relative
+    # to max|lam_i|, not to max(1, lam1)
+    tiny = [[0.0] * 5 for _ in range(5)]
+    tiny[0][0] = 1e-30
+    for name, rows, target in [("big", big, "0,0,0,0,0"),
+                               ("tiny", tiny, "4e-30,2e-30,1e-30,-3e-30,-4e-30")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rows))
+        code, text = run("verify", "--spectrum", target, "--matrix", str(path))
+        assert code == 3, name
+        assert "FAIL" in text
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

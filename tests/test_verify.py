@@ -98,6 +98,20 @@ def test_jacobi_eigenvalues_when_the_norm_overflows():
                             rtol=0.0, atol=1e-12 * 5e160)
 
 
+def test_jacobi_eigenvalues_when_the_norm_is_tiny():
+    # an absolute convergence floor would return the unrotated diagonal
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][1] = rows[1][0] = 1e-160
+    assert sn.sym_eigenvalues(rows).values == (1e-160, 0.0, 0.0, 0.0, -1e-160)
+    rng = np.random.default_rng(131)
+    for scale in (1e-3, 1e-30, 1e-160, 1e-300):
+        for _ in range(10):
+            a = _random_symmetric(rng) * scale
+            npt.assert_allclose(sn.sym_eigenvalues(a).values,
+                                np.sort(np.linalg.eigvalsh(a))[::-1],
+                                rtol=0.0, atol=1e-12 * 5.0 * scale)
+
+
 def test_verify_spectrum_fails_on_the_zero_target_when_the_norm_overflows():
     rep = sn.verify_spectrum(_big_pair(), sn.Spectrum((0.0,) * 5))
     assert not rep.passed
@@ -166,13 +180,12 @@ def test_verify_spectrum_fails_a_tiny_matrix_far_from_a_tiny_target():
     assert rep.max_deviation == 4e-30
 
 
-@pytest.mark.parametrize("k", [-36, -16, 40])
+@pytest.mark.parametrize("k", [-100, -60, -40, -36, -16, 40])
 def test_verify_spectrum_passes_a_realizing_matrix_scaled(k):
     # scaling by a power of two is exact, and so is every rounding of the
     # sweep under it, so the deviation scales with the target and the
-    # relative bound passes it; k = -36 (lam1 ~ 1.5e-8) is about the
-    # smallest scale at which the sweep's absolute convergence floor,
-    # 1e-13 * (1 + ||M||_F), still lets it rotate
+    # relative bound passes it; from k = -40 the norm is under 1/2, and
+    # only the sweep at a power-of-two scale lets the kernel rotate
     at_one = sn.verify_spectrum(sn.build_pattern_a(EX1), EX1)
     small = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in EX1.values))
     rows = [[math.ldexp(x, k) for x in row]
@@ -246,9 +259,20 @@ def test_plain_input_gets_the_matrix_checks(m, check):
 
 
 def _jacobi_reference(m, max_sweeps=30):
-    """The Jacobi sweep as first written, kept as the kernel's bit oracle."""
+    """The Jacobi sweep as first written, kept as the kernel's bit oracle.
+
+    A matrix whose norm overflows or falls under 1/2 is swept scaled by
+    2^-k, which brings its largest |entry| into [0.5, 1), and its
+    eigenvalues are scaled back.
+    """
     a = [[float(x) for x in row] for row in np.array(m, dtype=float)]
     fro = math.sqrt(sum(x * x for row in a for x in row))
+    big = max(abs(x) for row in a for x in row)
+    if not 0.5 <= fro < math.inf and big != 0.0:
+        k = math.frexp(big)[1]
+        eigs = _jacobi_reference(
+            [[math.ldexp(x, -k) for x in row] for row in a], max_sweeps)
+        return tuple(math.ldexp(x, k) for x in eigs)
     thresh = 1e-13 * (1.0 + fro)
     for sweep in range(max_sweeps + 1):
         off = 0.0
@@ -325,7 +349,13 @@ def _kernel_cases():
     neg_pairs = _random_symmetric(rng)
     neg_pairs[0, 2] = neg_pairs[2, 0] = neg_pairs[1, 4] = neg_pairs[4, 1] = -0.0
     neg_pairs[3, 4] = neg_pairs[4, 3] = -0.0
-    return cases + [block, neg_diag, neg_pairs, -0.0 * np.eye(5)]
+    # norms under 1/2, swept at a power-of-two scale: small, tiny, and
+    # subnormal entries, whose squares underflow to a norm of 0.0
+    small = [_random_symmetric(rng, scale) for scale in (0.05, 1e-30, 1e-160)
+             for _ in range(20)]
+    subnormal = _random_symmetric(rng) * 1e-320
+    return cases + small + [block, neg_diag, neg_pairs, -0.0 * np.eye(5),
+                            subnormal]
 
 
 def test_jacobi_bit_identical_to_reference():
@@ -351,11 +381,6 @@ def _char_poly_reference(m):
     return tuple(coeffs)
 
 
-def test_char_poly_bit_identical_to_reference():
-    for m in _kernel_cases():
-        assert hex_bits(sn.char_poly_coeffs(m)) == hex_bits(_char_poly_reference(m))
-
-
 def _overflow_cases():
     # entries near 1e80: the fifth power overflows, so coefficients come
     # out infinite, or NaN where infinities of both signs meet
@@ -367,13 +392,13 @@ def _overflow_cases():
     return cases
 
 
-def test_char_poly_bit_identical_to_reference_past_overflow():
-    # each overflowed call sits between two finite ones, so a call that
-    # read another call's values would show in the bits
+def test_char_poly_bit_identical_to_reference():
+    # each overflowed matrix is called between two finite ones, so a call
+    # that read another call's values would show in the bits
+    finite = _kernel_cases()
     overflowing = _overflow_cases()
-    finite = _kernel_cases()[:len(overflowing) + 1]
     cases = [m for pair in zip(finite, overflowing) for m in pair]
-    cases.append(finite[-1])
+    cases += finite[len(overflowing):]
     with np.errstate(over="ignore", invalid="ignore"):
         got = [hex_bits(sn.char_poly_coeffs(m)) for m in cases]
         want = [hex_bits(_char_poly_reference(m)) for m in cases]
