@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BoundaryProximityWarning, NotTraceZero
 from .pattern_a import build_pattern_a
 from .pattern_b import build_pattern_b, find_g
-from .spectrum import SortedSpectrum, SymMatrix5
+from .spectrum import SortedSpectrum, SymMatrix5, _unit_scale
 
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
@@ -84,7 +84,9 @@ class DecisionDetails:
         return l1 + l3 + l4
 
     def to_json_dict(self) -> dict:
-        return {"e1": self.e1, "r": self.r, "u": self.u, "mn_sum": self.mn_sum}
+        # an overflowed (inf or NaN) value is written as null, so the JSON is valid
+        return {name: x if math.isfinite(x) else None for name, x in (
+            ("e1", self.e1), ("r", self.r), ("u", self.u), ("mn_sum", self.mn_sum))}
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,10 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
     # lam1 dominates every |lam_i|, which in descending order is these two
     if not (l1 >= 0.0 and l1 >= -l5):
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det)
+    k = 0
+    if l1 >= 2.0 ** 1022:  # e1 can overflow: decide every rule at unit scale
+        s, k = _unit_scale(s)
+        l1, l2, l3, l4, l5 = s.values
     if not s.elem_syms.e1 >= 0.0:
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_VIOLATED, det)
     if not l1 + l3 + l4 >= 0.0:
@@ -173,11 +179,14 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
 
     # the rules above proved the gates' shared region checks: lam5 > -lam1
     # (lam1 >= -lam5 and lam5 != -lam1), e1 >= 0, and lam3 > e1; so each
-    # pattern is decided by the one check its gate adds
+    # pattern is decided by the one check its gate adds, at unit scale
+    if not 1.0 <= l1 < 2.0:
+        s, k = _unit_scale(s)
     if s.uvwr.r >= 0.0:
         return _decided(Verdict.REALIZABLE, Certificate.PATTERN_A, None, det)
     g = find_g(s)
     if g is not None:
+        g = math.ldexp(g, k)
         return _decided(Verdict.REALIZABLE, Certificate.PATTERN_B, None, det, g)
     return _decided(Verdict.UNKNOWN, None, None, det)
 

@@ -25,6 +25,7 @@ from .guo import Perturbation, decide_perturbed
 from .pattern_b import find_g, q_poly
 from .sampler import CSV_HEADER, sample_region
 from .spectrum import SortedSpectrum, SymMatrix5, parse_spectrum, sort_descending
+from .spectrum import _unit_scale
 from .verify import verify_spectrum
 
 EXIT_OK = 0
@@ -200,7 +201,9 @@ def _decide(args, out, show_matrix: bool) -> int:
 def _cmd_qroots(args, out) -> int:
     s = sort_descending(parse_spectrum(args.spectrum))
     q = q_poly(s)
-    roots = real_roots(q.c3, q.c2, q.c1, q.c0)
+    unit, k = _unit_scale(s)  # where find_g solves Q, so g is one of its roots
+    qu = q_poly(unit)
+    roots = tuple(math.ldexp(x, k) for x in real_roots(qu.c3, qu.c2, qu.c1, qu.c0))
     g = find_g(s)
     if args.format == "json":
         payload = {

@@ -7,7 +7,8 @@ suffer from.  Returned roots satisfy
 
     |p(root)| <= 1e-9 * max|c_i| * max(1, |root|)**3
 
-and roots closer together than ``1e-7 * (1 + |root|)`` are merged.
+and roots closer together than ``1e-7 * (1 + |root|)`` are merged.  Neither
+bound is homogeneous, so the two-paths layer solves its Q at unit scale.
 
 :func:`_keeps_sign` is a cheap float test in front of the solve: it probes
 the cubic at the ends of a window and at its turning points inside it, and

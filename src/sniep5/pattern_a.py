@@ -10,7 +10,8 @@ stored on it as ``SortedSpectrum.uvwr``, are
 
 When the gate in :func:`pattern_a_conditions` passes, the sparse symmetric
 matrix assembled in :func:`pattern_a_entries` is entrywise nonnegative and
-has sigma as its spectrum.
+has sigma as its spectrum.  Both are taken at unit scale (the entries are
+homogeneous of degree 1), where v, of degree 6, cannot overflow.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .spectrum import (
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
-    _checked_sorted,
     _region_checks,
+    _unit_scale,
 )
 
 
@@ -35,13 +36,14 @@ def compute_uvwr(s: SortedSpectrum) -> PatternAScalars:
 
 
 def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
-    """Gate for the five-cycle construction.
+    """Gate for the five-cycle construction, decided on ``s`` at unit scale.
 
     The region checks shared with the two-paths gate, then r >= 0.  All
     four are exact floating comparisons; passing them implies u > 0, v > 0
     and w >= 0, so every square root and division in the matrix assembly
     is well defined and the result is nonnegative.
     """
+    s = _unit_scale(s)[0]
     return ConditionReport((*_region_checks(s), ("r_nonnegative", s.uvwr.r >= 0.0)))
 
 
@@ -72,24 +74,18 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
 
 def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
     """Construct the realizing five-cycle matrix for a gated spectrum."""
-    sc = s.uvwr
+    unit, k = _unit_scale(s)
+    sc = unit.uvwr
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
-    report = pattern_a_conditions(s)
+    report = pattern_a_conditions(unit)
     if not report.passed:
         raise PreconditionViolated(
             f"spectrum fails the five-cycle gate: {', '.join(report.failed)}",
             report.failed,
         )
-    if not all(map(math.isfinite, sc)):
-        # v, of degree 6, overflows first; the entries are homogeneous of
-        # degree 1, so build at lam1 ~ 1 and scale back by the same power of 2
-        k = math.frexp(s.lam1)[1]
-        scaled = _checked_sorted(tuple(math.ldexp(x, -k) for x in s.values))
-        rows = build_pattern_a(scaled).entries
-        return _built_matrix(
-            tuple(tuple(math.ldexp(x, k) for x in row) for row in rows), "pattern_a"
-        )
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")
-    return _built_matrix(pattern_a_entries(s), "pattern_a")
+    rows = pattern_a_entries(unit)
+    return _built_matrix(tuple(tuple(math.ldexp(x, k) for x in row) for row in rows)
+                         if k else rows, "pattern_a")

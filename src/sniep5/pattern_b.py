@@ -15,6 +15,7 @@ the sparse symmetric matrix in :func:`pattern_b_entries` realizes the
 spectrum whenever the gate in :func:`pattern_b_conditions` passes.
 :func:`compute_klm` gives (k, l, m) as a plain tuple.  The gate and the
 builder apply the region checks of the five-cycle gate, in its order.
+``find_g``, the gate and the builder work at unit scale, then scale back.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .spectrum import (
     SymMatrix5,
     _built_matrix,
     _region_checks,
+    _unit_scale,
 )
 
-# slack for deciding whether a computed root sits inside [0, e1/2]; the
-# selected g is clamped back into the closed range afterwards
+# slack, at unit scale, for deciding whether a computed root sits inside
+# [0, e1/2]; the selected g is clamped back into the closed range afterwards
 RANGE_SLACK = 1e-12
 
 # a root of Q can carry m slightly past zero; anything this small is noise
@@ -72,23 +74,17 @@ def q_poly(s: SortedSpectrum) -> CubicQ:
     return CubicQ(*_q_coeffs(s))
 
 
-def _window(s: SortedSpectrum) -> tuple[float, float]:
-    """e1/2, and the rounding slack by which a root may miss [0, e1/2]."""
-    half = 0.5 * s.elem_syms.e1
-    return half, RANGE_SLACK * max(1.0, half)
-
-
 def _admit(s: SortedSpectrum, roots: tuple[float, ...]) -> float | None:
-    """The largest root within rounding slack of [0, e1/2], clamped onto it.
+    """The largest root within RANGE_SLACK of [0, e1/2], clamped onto it.
 
     The roots ascend.  The interval is empty when e1 < 0, and then nothing
     is admitted.
     """
-    half, slack = _window(s)
+    half = 0.5 * s.elem_syms.e1
     if half < 0.0:
         return None
     for x in reversed(roots):
-        if -slack <= x <= half + slack:
+        if -RANGE_SLACK <= x <= half + RANGE_SLACK:
             return min(max(x, 0.0), half)
     return None
 
@@ -104,13 +100,16 @@ def find_g(s: SortedSpectrum) -> float | None:
     reads: where it rules one out, the solve could admit none, so the
     answer is None with the same bits as the solve's.
     """
-    half, slack = _window(s)
+    l1, _, _, _, l5 = s.values
+    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
+    half = 0.5 * unit.elem_syms.e1
     if half < 0.0:
         return None  # the interval is empty, so Q is not solved
-    c = _q_coeffs(s)
-    if cubic._keeps_sign(*c, -slack, half + slack):
+    c = _q_coeffs(unit)
+    if cubic._keeps_sign(*c, -RANGE_SLACK, half + RANGE_SLACK):
         return None
-    return _admit(s, cubic.real_roots(*c))
+    g = _admit(unit, cubic.real_roots(*c))
+    return g if g is None else math.ldexp(g, k)
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:
@@ -125,14 +124,14 @@ def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:
 
 
 def pattern_b_conditions(s: SortedSpectrum) -> ConditionReport:
-    """Gate for the two-paths construction.
+    """Gate for the two-paths construction, decided on ``s`` at unit scale.
 
     Passing implies k > 0, l > 0 and m >= 0 at the selected root, so the
     matrix assembly is well defined and nonnegative.  The report carries
     the selected g whenever one exists.
     """
     g = find_g(s)
-    checks = (*_region_checks(s), ("root_in_range", g is not None))
+    checks = (*_region_checks(_unit_scale(s)[0]), ("root_in_range", g is not None))
     return ConditionReport(checks, g=g)
 
 
@@ -162,13 +161,15 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
-    c3, c2, c1, c0 = _q_coeffs(s)
-    admitted = _admit(s, (g,))
+    unit, k = _unit_scale(s)
+    c3, c2, c1, c0 = _q_coeffs(unit)
+    gu = math.ldexp(g, -k)  # a Python float, so the rows are computed in float64
+    admitted = _admit(unit, (gu,))
     checks = (
-        ("g_is_a_root", abs(cubic.evaluate(c3, c2, c1, c0, g))
-         <= cubic.residual_bound(c3, c2, c1, c0, g)),
+        ("g_is_a_root", abs(cubic.evaluate(c3, c2, c1, c0, gu))
+         <= cubic.residual_bound(c3, c2, c1, c0, gu)),
         ("g_in_range", admitted is not None),
-        *_region_checks(s),
+        *_region_checks(unit),
     )
     report = ConditionReport(checks, g=g)
     if not report.passed:
@@ -176,11 +177,8 @@ def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(failed)}", failed
         )
-    # clamped onto [0, e1/2]; a numpy g becomes a Python float, so the
-    # rows are Python floats computed in float64
-    g = float(admitted)
-    rows = pattern_b_entries(s, g)
-    k = rows[1][4]
-    if not k > 0.0:
-        raise NegativeRadicand(f"entry scalar out of range at g={g}: k={k}")
-    return _built_matrix(rows, "pattern_b")
+    rows = pattern_b_entries(unit, admitted)  # admitted is clamped onto [0, e1/2]
+    if not rows[1][4] > 0.0:
+        raise NegativeRadicand(f"entry scalar out of range at g={g}: k={rows[1][4]}")
+    return _built_matrix(tuple(tuple(math.ldexp(x, k) for x in row) for row in rows)
+                         if k else rows, "pattern_b")

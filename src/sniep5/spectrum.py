@@ -220,6 +220,14 @@ def _checked_sorted(values: tuple) -> SortedSpectrum:
     return out
 
 
+def _unit_scale(s: SortedSpectrum) -> tuple[SortedSpectrum, int]:
+    """``s`` times 2**-k with max|lam_i| = max(lam1, -lam5) in [1, 2), and k;
+    exact short of underflow.  A list already in [1, 2) comes back as itself."""
+    l1, _, _, _, l5 = values = s.values
+    k = math.frexp(max(l1, -l5))[1] - 1
+    return (_checked_sorted(tuple(math.ldexp(x, -k) for x in values)) if k else s), k
+
+
 def _built_matrix(rows: tuple, provenance: str) -> SymMatrix5:
     """A ``SymMatrix5`` of a pattern builder's rows without the generic checks.
 

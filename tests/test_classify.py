@@ -14,7 +14,7 @@ import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
 from sniep5.spectrum import _region_checks
-from support import bytes_each, poly_from_roots, sample_until
+from support import bytes_each, draw_box_point, poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -135,6 +135,69 @@ def test_scale_invariance():
             assert scaled.reason is base.reason
             if base.g is not None:
                 npt.assert_allclose(scaled.g, alpha * base.g, rtol=1e-9)
+
+
+# a tiny list that once got a false pattern_b certificate with g = 0.0
+TINY = sn.SortedSpectrum((4.44074498098174e-30, 1.717024130045738e-30,
+                          1.6243833883082983e-30, -2.3985287796901835e-30,
+                          -4.163993079531971e-30))
+
+
+def _outcome(d):
+    return d.verdict, d.certificate, d.reason
+
+
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+@pytest.mark.parametrize("text,unit_text,verdict", [
+    ("1e100,0.415e100,0.3565e100,-0.6815e100,-0.74e100",
+     "1,0.415,0.3565,-0.6815,-0.74", Verdict.UNKNOWN),
+    ("1e200,0.415e200,0.3565e200,-0.6815e200,-0.74e200",
+     "1,0.415,0.3565,-0.6815,-0.74", Verdict.UNKNOWN),
+    ("1e308,0.9e308,0.8e308,-0.95e308,-1e308", "1,0.9,0.8,-0.95,-1",
+     Verdict.NOT_REALIZABLE),
+    (",".join(map(repr, TINY.values)),
+     ",".join(repr(math.ldexp(x, 97)) for x in TINY.values), Verdict.UNKNOWN),
+], ids=["1e100", "1e200", "1e308", "tiny"])
+def test_lists_far_from_unit_scale_decide_as_at_unit_scale(text, unit_text, verdict):
+    d = sn.classify(sn.sort_descending(sn.parse_spectrum(text)))
+    assert _outcome(d) == _outcome(sn.classify(
+        sn.sort_descending(sn.parse_spectrum(unit_text))))
+    assert d.verdict is verdict
+    assert d.g is None
+
+
+def test_a_five_cycle_list_whose_v_overflows_realizes_and_verifies():
+    s = sn.sort_descending(sn.parse_spectrum("1e52,0.381e52,0.36e52,-0.641e52,-0.75e52"))
+    assert not math.isfinite(s.uvwr.v)
+    d = sn.classify(s)
+    assert d.certificate is Certificate.PATTERN_A
+    assert sn.verify_spectrum(sn.realize(s, d), s, rel_tol=1e-9).passed
+
+
+# lists whose entries are 0 or at least 1e-3 * lam1, so that no scaling by
+# 2**k, |k| <= 200, rounds one into the subnormals
+_SCALED_LISTS = st.one_of(
+    st.lists(st.integers(-1000, 1000).map(lambda h: h / 1000), min_size=5, max_size=5),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
+             min_size=5, max_size=5),
+    st.integers(0, 2**32 - 1).map(lambda seed: list(draw_box_point(
+        np.random.default_rng(seed), t_lo=0.15, t_hi=0.45, x_pow=5, y_top=0.3))),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: list(draw_box_point(np.random.default_rng(seed)))),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_SCALED_LISTS, st.integers(-200, 200))
+@example(list(UNKNOWN_GOLDEN.values), 200)  # the cubic solve overflowed
+@example(list(TINY.values), 97)  # the tiny list got a false pattern_b
+@example(list(EX2.values), -150)
+def test_classify_is_scale_equivariant(vals, k):
+    s = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
+    scaled = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in s.values))
+    d, dk = _quiet_classify(s), _quiet_classify(scaled)
+    assert _outcome(dk) == _outcome(d)
+    assert dk.g == (d.g if d.g is None else math.ldexp(d.g, k))
 
 
 def test_not_realizable_is_sound():

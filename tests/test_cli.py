@@ -69,6 +69,27 @@ def test_check_unknown_exit_code():
     assert "verdict: unknown" in text
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore::sniep5.errors.BoundaryProximityWarning")
+@pytest.mark.parametrize("spectrum,code,verdict,nulls", [
+    ("1e100,0.415e100,0.3565e100,-0.6815e100,-0.74e100", 1, "unknown", []),
+    ("1e200,0.415e200,0.3565e200,-0.6815e200,-0.74e200", 1, "unknown",
+     ["r", "u"]),
+    ("1e308,0.9e308,0.8e308,-0.95e308,-1e308", 0, "not_realizable",
+     ["e1", "r", "u", "mn_sum"]),
+], ids=["1e100", "1e200", "1e308"])
+def test_check_json_is_valid_for_huge_lists(spectrum, code, verdict, nulls):
+    # a detail that overflows to inf or NaN is written as null
+    got, text = run("check", "--spectrum", spectrum, "--format", "json")
+    assert got == code
+    payload = json.loads(text, parse_constant=_refuse)
+    assert payload["verdict"] == verdict
+    assert [k for k, x in payload["details"].items() if x is None] == nulls
+
+
 @pytest.mark.parametrize("spectrum,message", [
     ("1,2,3", "expected 5 comma-separated values, got 3"),
     ("1,x,3,4,5", "non-numeric entry in ('1', 'x', '3', '4', '5')"),
@@ -126,6 +147,16 @@ def test_qroots_text_marks_selected_root():
     code1, text1 = run("qroots", "--spectrum", EX1)
     assert code1 == 0
     assert "g: none in range" in text1
+
+
+def test_qroots_marks_g_among_the_roots_off_unit_scale():
+    # find_g solves Q at unit scale; solved at this list's scale, Q's root
+    # lies one ulp from g, which would read as a clamped g
+    code, text = run("qroots", "--spectrum", "8.0,3.3530829344247994,"
+                     "2.003729119534817,-5.903409204387355,-5.972145140541642")
+    assert code == 0
+    assert "root: 0.38876312855166711  <- g" in text
+    assert "clamped" not in text
 
 
 def test_qroots_no_g_when_trace_a_hair_below_zero():

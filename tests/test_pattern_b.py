@@ -76,6 +76,23 @@ def test_find_g_skips_the_solve_where_q_keeps_its_sign(monkeypatch):
     assert sn.find_g(EX1) is None
 
 
+def test_find_g_decides_ex1_without_a_solve_at_every_scale(monkeypatch):
+    # the sign test runs at unit scale, so its residual bound does not
+    # outgrow Q as lam1 grows
+    calls = []
+    real_roots = sn.cubic.real_roots
+
+    def counted(*c):
+        calls.append(c)
+        return real_roots(*c)
+
+    monkeypatch.setattr("sniep5.cubic.real_roots", counted)
+    for j in range(7):
+        s = sn.SortedSpectrum(tuple(x * 10.0 ** j for x in EX1.values))
+        assert sn.find_g(s) is None
+    assert calls == []
+
+
 def test_find_g_zero_spectrum():
     s = sn.SortedSpectrum((0.0, 0.0, 0.0, 0.0, 0.0))
     assert sn.find_g(s) == 0.0
@@ -110,9 +127,12 @@ def test_find_g_picks_largest_admissible_root():
 
 
 def _find_g_reference(s):
-    """find_g as first written, independent of the module's helpers: Q's
-    coefficients spelled out, every root admitted into a list, then the
-    last (largest) admitted one."""
+    """find_g as first written, independent of the module's helpers: the
+    list scaled by 2**-k to max|lam_i| in [1, 2), Q's coefficients spelled
+    out, every root admitted into a list, then the last (largest) admitted
+    one scaled back by 2**k."""
+    k = math.frexp(max(s.values[0], -s.values[4]))[1] - 1
+    s = sn.SortedSpectrum(tuple(math.ldexp(x, -k) for x in s.values))
     _, _, l3, _, l5 = s.values
     es = sn.elem_syms(s)
     c3, c2, c1, c0 = (
@@ -124,10 +144,10 @@ def _find_g_reference(s):
     half = 0.5 * es.e1
     if half < 0.0:
         return None
-    slack = 1e-12 * max(1.0, half)
+    slack = 1e-12
     hits = [min(max(x, 0.0), half) for x in sn.real_roots(c3, c2, c1, c0)
             if -slack <= x <= half + slack]
-    return hits[-1] if hits else None
+    return math.ldexp(hits[-1], k) if hits else None
 
 
 def _onto_q_edge(vals, i, at_half):
@@ -184,6 +204,8 @@ _LISTS = st.one_of(
 # a root of Q at 0 up to rounding, and an e1 within the slack below 0
 @example(list(ON_NEGATED_PERRON_FACE.values))
 @example(list(E1_HAIR_BELOW_ZERO.values))
+# tiny: an absolute slack would admit g = 0.0, while Q's root is 0x1.1a0b7b3270e0bp-853
+@example([2.5942205968621644e-257, 2.5942205968621644e-257, 0.0, 0.0, 0.0])
 def test_find_g_bit_identical_to_reference(vals):
     s = sn.SortedSpectrum(tuple(sorted(vals, reverse=True)))
     got, want = sn.find_g(s), _find_g_reference(s)
@@ -243,17 +265,22 @@ def test_build_golden_spectrum():
     assert rep.passed
 
 
-@pytest.mark.parametrize("g,want_g", [
-    (np.float64(EX2_G), np.float64(EX2_G)),
-    (np.float32(EX2_G), float(np.float32(EX2_G))),
-], ids=["float64", "float32"])
-def test_build_writes_python_float_rows_for_a_numpy_g(g, want_g):
+@pytest.mark.parametrize("g", [np.float64(EX2_G), np.float32(EX2_G)],
+                         ids=["float64", "float32"])
+def test_build_writes_python_float_rows_for_a_numpy_g(g):
     # the builder's rows skip the public float() conversion, so a numpy g
     # must give the rows the public constructor would have stored; a
-    # float64 g keeps its bits, a float32 g is built in float64 from its value
+    # float64 g keeps its bits.  A float32 g is no root: it leaves Q(g) at
+    # about 0.74, past the residual bound at unit scale, and its matrix
+    # would miss EX2 by about 1.2e-6 relative
+    if g.dtype == np.float32:
+        with pytest.raises(sn.PreconditionViolated) as exc:
+            sn.build_pattern_b(EX2, g)
+        assert exc.value.failed == ("g_is_a_root",)
+        return
     mat = sn.build_pattern_b(EX2, g)
     assert all(type(x) is float for row in mat.entries for x in row)
-    rows = pattern_b_entries(EX2, want_g)
+    rows = pattern_b_entries(EX2, g)
     public = sn.SymMatrix5(rows, provenance="pattern_b")
     assert [x.hex() for row in mat.entries for x in row] == \
         [x.hex() for row in public.entries for x in row]
