@@ -53,7 +53,7 @@ class Reason(enum.Enum):
     TRACE_ZERO_VIOLATED = "trace_zero_violated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionDetails:
     """The numbers behind a decision, read from the decided spectrum on demand.
 
@@ -89,7 +89,7 @@ class DecisionDetails:
             ("e1", self.e1), ("r", self.r), ("u", self.u), ("mn_sum", self.mn_sum))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizabilityDecision:
     verdict: Verdict
     certificate: Certificate | None = None
@@ -116,6 +116,16 @@ class RealizabilityDecision:
         return out
 
 
+# slot setters, bound once; each gets past the frozen __setattr__
+_new = object.__new__
+_set_spectrum = DecisionDetails.spectrum.__set__
+_set_verdict = RealizabilityDecision.verdict.__set__
+_set_certificate = RealizabilityDecision.certificate.__set__
+_set_reason = RealizabilityDecision.reason.__set__
+_set_g = RealizabilityDecision.g.__set__
+_set_details = RealizabilityDecision.details.__set__
+
+
 def _decided(
     verdict: Verdict,
     certificate: Certificate | None,
@@ -125,26 +135,24 @@ def _decided(
 ) -> RealizabilityDecision:
     """A ``RealizabilityDecision`` built without the frozen-dataclass init.
 
-    Only for the literal (verdict, certificate, reason) combinations written
-    out in this module, each of which passes ``__post_init__``.  The fields
-    are set in declaration order, as the generated ``__init__`` sets them,
-    and never through ``__dict__``, so a decision keeps the compact instance
-    layout.
+    Only for the literal (verdict, certificate, reason) combinations in this
+    package, each of which passes ``__post_init__``.  Each slot is filled
+    by its own setter, bound once at import, in declaration order.
     """
-    out = object.__new__(RealizabilityDecision)
-    setattr_ = object.__setattr__
-    setattr_(out, "verdict", verdict)
-    setattr_(out, "certificate", certificate)
-    setattr_(out, "reason", reason)
-    setattr_(out, "g", g)
-    setattr_(out, "details", det)
+    out = _new(RealizabilityDecision)
+    _set_verdict(out, verdict)
+    _set_certificate(out, certificate)
+    _set_reason(out, reason)
+    _set_g(out, g)
+    _set_details(out, det)
     return out
 
 
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """Decide realizability of a descending spectrum; first matching rule wins."""
     l1, l2, l3, l4, l5 = s.values
-    det = DecisionDetails(s)
+    det = _new(DecisionDetails)
+    _set_spectrum(det, s)
 
     # lam1 dominates every |lam_i|, which in descending order is these two
     if not (l1 >= 0.0 and l1 >= -l5):
@@ -202,7 +210,8 @@ def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | 
 
 def is_trace_zero(s: SortedSpectrum) -> bool:
     """The sum is zero up to 1e-12 * max|lam_i|."""
-    return abs(s.elem_syms.e1) <= TRACE_ZERO_TOL * max(abs(v) for v in s.values)
+    l1, _, _, _, l5 = s.values  # max|lam_i| of descending entries is at an end
+    return abs(s.elem_syms.e1) <= TRACE_ZERO_TOL * max(l1, -l5)
 
 
 def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:

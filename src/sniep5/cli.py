@@ -207,7 +207,9 @@ def _cmd_qroots(args, out) -> int:
     g = find_g(s)
     if args.format == "json":
         payload = {
-            "coefficients": [q.c3, q.c2, q.c1, q.c0],
+            # an overflowed (inf or NaN) coefficient is null, so the JSON is valid
+            "coefficients": [c if math.isfinite(c) else None
+                             for c in (q.c3, q.c2, q.c1, q.c0)],
             "roots": list(roots),
             "g": g,
         }

@@ -26,12 +26,14 @@ from .classify import (
     Certificate,
     RealizabilityDecision,
     Verdict,
+    _decided,
     classify,
     classify_trace_zero,
     is_trace_zero,
     realize,
 )
-from .spectrum import SortedSpectrum, SymMatrix5, sort_descending, Spectrum
+from .errors import InvalidSpectrum
+from .spectrum import SortedSpectrum, SymMatrix5, _checked_sorted
 
 
 class Sign(enum.Enum):
@@ -39,7 +41,7 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Perturbation:
     """Move lam1 up by s and lam_i (1-based index, 2..5) by +/- s; s is
     finite and positive."""
@@ -80,7 +82,7 @@ _CLOSURES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbedDecision:
     decision: RealizabilityDecision
     rule: ClosureRule
@@ -100,7 +102,10 @@ def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
     vals = list(s.values)
     vals[0] += p.s
     vals[p.i - 1] += p.s if p.sign is Sign.PLUS else -p.s
-    return sort_descending(Spectrum(tuple(vals)))
+    if not all(map(math.isfinite, vals)):
+        raise InvalidSpectrum(f"non-finite entry in {tuple(vals)}")
+    vals.sort(reverse=True)
+    return _checked_sorted(tuple(vals))
 
 
 def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
@@ -124,9 +129,7 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
     matrix = realize(perturbed, direct)
     if rule is None:
         return PerturbedDecision(direct, ClosureRule.DIRECT, perturbed, matrix)
-    decision = RealizabilityDecision(
-        Verdict.REALIZABLE,
-        certificate=Certificate.GUO_CLOSURE,
-        details=direct.details,
+    decision = _decided(
+        Verdict.REALIZABLE, Certificate.GUO_CLOSURE, None, direct.details
     )
     return PerturbedDecision(decision, rule, perturbed, matrix)

@@ -59,13 +59,18 @@ class CubicQ:
 
 
 def _q_coeffs(s: SortedSpectrum) -> tuple[float, float, float, float]:
-    """Q's coefficients c3, c2, c1, c0 as a plain tuple."""
+    """Q's coefficients c3, c2, c1, c0 as a plain tuple; a coefficient that
+    overflows comes out inf or nan, as float products give."""
     _, _, l3, _, l5 = s.values
     e1, e2, e3, _, _ = s.elem_syms
+    try:
+        sq = (l3 - l5) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        sq = math.inf
     return (
         2.0,
         -2.0 * (l3 + l5),
-        -(e2 + (l3 - l5) ** 2),
+        -(e2 + sq),
         e3 + e1 * (l3 * l3 + l5 * l5),
     )
 

@@ -7,9 +7,10 @@ holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
 :class:`ConditionReport`), the elementary symmetric polynomials, the
 five-cycle scalars u/v/w/r, and the region checks both pattern gates share.
 
-A spectrum computes e1..e5 (and a sorted one u/v/w/r) on first read and
-stores them on itself with ``object.__setattr__``; later reads find them
-there, with no lock and no per-instance dict.  The expansion is written
+``Spectrum`` converts, checks and stores its values in one step, in a
+hand-written ``__init__``.  It computes e1..e5 (and a sorted one u/v/w/r)
+on first read and stores them in its instance dict with
+``object.__setattr__``, so it is not slotted.  The expansion is written
 out factor by factor, so each e_k comes out bit-identical to the loop
 ``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
 ``NamedTuple``s and so compare equal to plain tuples.  They are built with
@@ -83,14 +84,13 @@ def _expand(a: float, b: float, c: float, d: float, e: float) -> ElemSyms:
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """Five real eigenvalue candidates, in no particular order."""
 
     values: tuple[float, float, float, float, float]
 
-    def __post_init__(self):
-        values = self.values
+    def __init__(self, values):
         if isinstance(values, _TEXT):
             raise InvalidSpectrum(f"values {values!r} are text, not numbers")
         try:
@@ -116,12 +116,12 @@ class Spectrum:
         return _expand(*sorted(self.values, reverse=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SortedSpectrum(Spectrum):
     """A spectrum known to be in descending order."""
 
-    def __post_init__(self):
-        Spectrum.__post_init__(self)
+    def __init__(self, values):
+        Spectrum.__init__(self, values)
         a, b, c, d, e = v = self.values
         if not a >= b >= c >= d >= e:
             raise InvalidSpectrum(f"not in descending order: {v}")
@@ -273,7 +273,7 @@ def scale(s: Spectrum, alpha: float) -> Spectrum:
     return type(s)(tuple(alpha * v for v in s.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Outcome of a bundle of named condition checks.
 

@@ -326,7 +326,7 @@ def sym_eigenvalues(m) -> SortedSpectrum:
     return stored
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     passed: bool
     max_deviation: float

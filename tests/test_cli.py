@@ -2,6 +2,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import sniep5 as sn
 from sniep5.cli import run_cli
+from sniep5.spectrum import _unit_scale
 
 # grid sweeps legitimately touch the lam5 == -lam1 plane
 pytestmark = pytest.mark.filterwarnings(
@@ -170,6 +172,29 @@ def test_qroots_no_g_when_trace_a_hair_below_zero():
     assert "clamped" not in text
 
 
+@pytest.mark.parametrize("spectrum", [
+    "1e200,0.415e200,0.3565e200,-0.6815e200,-0.74e200",
+    "1e308,0.9e308,0.8e308,-0.95e308,-1e308",
+], ids=["1e200", "1e308"])
+def test_qroots_prints_overflowed_coefficients(capsys, spectrum):
+    s = sn.sort_descending(sn.parse_spectrum(spectrum))
+    unit, k = _unit_scale(s)
+    q = sn.q_poly(unit)
+    roots = [math.ldexp(x, k) for x in sn.real_roots(q.c3, q.c2, q.c1, q.c0)]
+    code, text = run("qroots", "--spectrum", spectrum)
+    assert code == 0 and capsys.readouterr().err == ""
+    # c1 and c0 overflow; the text prints them as Python formats inf and NaN
+    assert text.startswith("cubic: 2 z^3 + ") and " z^2 + nan z + nan\n" in text
+    assert [float(line.split()[1]) for line in text.splitlines()
+            if line.startswith("root:")] == roots
+    code, text = run("qroots", "--spectrum", spectrum, "--format", "json")
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = json.loads(text, parse_constant=_refuse)
+    assert payload["coefficients"][0] == 2.0
+    assert payload["coefficients"][2:] == [None, None]
+    assert payload["roots"] == roots
+
+
 def test_qroots_json_golden():
     code, text = run("qroots", "--spectrum", EX1, "--format", "json")
     assert code == 0
@@ -178,6 +203,15 @@ def test_qroots_json_golden():
     npt.assert_allclose(payload["roots"],
                         [-538.35237219, -27.19321311, 175.5455853], atol=1e-5)
     assert payload["g"] is None
+
+
+def test_perturb_refuses_a_perturbed_list_that_overflows(capsys):
+    # lam1 + s overflows; the message shows the moved list before sorting
+    code, text = run("perturb", "--spectrum", "1.7e308,0,0,0,-1", "--i", "2",
+                     "--sign", "plus", "--s", "1e308")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: non-finite entry in (inf, 1e+308, 0.0, 0.0, -1.0)\n")
 
 
 def test_perturb_closure_json():

@@ -1,5 +1,6 @@
 """Spectrum containers, elementary symmetric functions, stored invariants."""
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -77,6 +78,22 @@ def test_sorted_spectrum_order_message_per_pair(i):
         sn.SortedSpectrum(_swapped(i))
     assert str(info.value) == f"not in descending order: {_swapped(i)}"
     sn.Spectrum(_swapped(i))  # order is not asked of an unsorted spectrum
+
+
+@pytest.mark.parametrize("cls", [sn.Spectrum, sn.SortedSpectrum])
+def test_values_by_keyword_and_through_replace(cls):
+    s = cls(values=[5, 4, "3", 2, 1])
+    assert type(s) is cls and s.values == _BASE
+    moved = dataclasses.replace(s, values=(6, 4, 3, 2, 1))
+    assert type(moved) is cls and moved.values == (6.0, 4.0, 3.0, 2.0, 1.0)
+    # replace runs the same checks, with the same messages
+    with pytest.raises(sn.InvalidSpectrum) as info:
+        dataclasses.replace(s, values=_with(2, math.nan))
+    assert str(info.value) == f"non-finite entry in {_with(2, math.nan)}"
+    if cls is sn.SortedSpectrum:
+        with pytest.raises(sn.InvalidSpectrum) as info:
+            dataclasses.replace(s, values=_swapped(0))
+        assert str(info.value) == f"not in descending order: {_swapped(0)}"
 
 
 @pytest.mark.parametrize("cls,text", [
