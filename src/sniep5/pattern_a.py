@@ -11,7 +11,9 @@ stored on it as ``SortedSpectrum.uvwr``, are
 When the gate in :func:`pattern_a_conditions` passes, the sparse symmetric
 matrix assembled in :func:`pattern_a_entries` is entrywise nonnegative and
 has sigma as its spectrum.  Both are taken at unit scale (the entries are
-homogeneous of degree 1), where v, of degree 6, cannot overflow.
+homogeneous of degree 1), where v, of degree 6, cannot overflow.  The
+builder decides the gate by plain comparisons; only a list that fails it
+gets the gate's report, to name the failed checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .spectrum import (
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
+    _in_region,
     _region_checks,
     _unit_scale,
 )
@@ -74,15 +77,15 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
 
 def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
     """Construct the realizing five-cycle matrix for a gated spectrum."""
-    unit, k = _unit_scale(s)
+    l1, _, _, _, l5 = s.values
+    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
     sc = unit.uvwr
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
-    report = pattern_a_conditions(unit)
-    if not report.passed:
+    if not (_in_region(unit) and sc.r >= 0.0):
+        failed = pattern_a_conditions(unit).failed
         raise PreconditionViolated(
-            f"spectrum fails the five-cycle gate: {', '.join(report.failed)}",
-            report.failed,
+            f"spectrum fails the five-cycle gate: {', '.join(failed)}", failed
         )
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")

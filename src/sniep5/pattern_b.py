@@ -14,8 +14,10 @@ lying in [0, e1/2].  With
 the sparse symmetric matrix in :func:`pattern_b_entries` realizes the
 spectrum whenever the gate in :func:`pattern_b_conditions` passes.
 :func:`compute_klm` gives (k, l, m) as a plain tuple.  The gate and the
-builder apply the region checks of the five-cycle gate, in its order.
-``find_g``, the gate and the builder work at unit scale, then scale back.
+builder apply the region checks of the five-cycle gate, in its order; the
+builder decides its checks by plain comparisons and builds a report only
+to name those a call fails.  ``find_g``, the gate and the builder work at
+unit scale, then scale back.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .spectrum import (
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
+    _in_region,
     _region_checks,
     _unit_scale,
 )
@@ -166,19 +169,15 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
-    unit, k = _unit_scale(s)
-    c3, c2, c1, c0 = _q_coeffs(unit)
+    l1, _, _, _, l5 = s.values
+    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
+    c = _q_coeffs(unit)
     gu = math.ldexp(g, -k)  # a Python float, so the rows are computed in float64
     admitted = _admit(unit, (gu,))
-    checks = (
-        ("g_is_a_root", abs(cubic.evaluate(c3, c2, c1, c0, gu))
-         <= cubic.residual_bound(c3, c2, c1, c0, gu)),
-        ("g_in_range", admitted is not None),
-        *_region_checks(unit),
-    )
-    report = ConditionReport(checks, g=g)
-    if not report.passed:
-        failed = report.failed
+    is_root = abs(cubic.evaluate(*c, gu)) <= cubic.residual_bound(*c, gu)
+    if not (is_root and admitted is not None and _in_region(unit)):
+        checks = (("g_is_a_root", is_root), ("g_in_range", admitted is not None))
+        failed = ConditionReport((*checks, *_region_checks(unit))).failed
         raise PreconditionViolated(
             f"two-paths gate failed: {', '.join(failed)}", failed
         )

@@ -311,6 +311,13 @@ def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
     )
 
 
+def _in_region(s: SortedSpectrum) -> bool:
+    """True when every check of ``_region_checks(s)`` holds, as one plain bool."""
+    l1, _, l3, _, l5 = s.values
+    e1 = s.elem_syms.e1
+    return l5 > -l1 and e1 >= 0.0 and l3 > e1
+
+
 _PATTERN_PROVENANCE = ("pattern_a", "pattern_b")
 
 
@@ -343,6 +350,7 @@ class SymMatrix5:
 
     entries: tuple[tuple[float, ...], ...]
     provenance: str = "external"
+    _eigenvalues = None  # no annotation, so no field; sym_eigenvalues stores over it
 
     def __post_init__(self):
         try:

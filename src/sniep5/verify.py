@@ -14,7 +14,8 @@ Jacobi eigenvalues against a target spectrum, in any order;
 ``entry_bound_check`` confirms the entries of a symmetric nonnegative
 matrix stay inside [0, spectral radius].  Plain input is first made a
 :class:`SymMatrix5`, with its checks; that value stores its Jacobi
-eigenvalues, so both checks share one Jacobi run and the same bits.
+eigenvalues, so both checks share one Jacobi run and the same bits, and
+``verify_spectrum`` fills its report's slots in one step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .spectrum import SortedSpectrum, Spectrum, SymMatrix5, sort_descending
+from .spectrum import (SortedSpectrum, Spectrum, SymMatrix5, _checked_sorted,
+                       sort_descending)
 
 OFF_NORM_TOL = 1e-13
 MAX_SWEEPS = 30
@@ -153,8 +155,10 @@ def _jacobi(rows, max_sweeps: int) -> SortedSpectrum:
             + a34 * a34
         )
         if sqrt(2.0 * off) <= thresh:
-            diag = (a00, a11, a22, a33, a44)
-            return SortedSpectrum(tuple(sorted(diag, reverse=True)))
+            diag = tuple(sorted((a00, a11, a22, a33, a44), reverse=True))
+            if math.isfinite(a00 + a11 + a22 + a33 + a44):  # no inf, no nan
+                return _checked_sorted(diag)
+            return SortedSpectrum(diag)
         if sweep == max_sweeps:
             raise NoConvergence(
                 f"off-diagonal norm {sqrt(2.0 * off):.3e} above "
@@ -319,7 +323,7 @@ def sym_eigenvalues(m) -> SortedSpectrum:
     compact instance layout, and returned from there on every later call.
     """
     m = _matrix(m)
-    stored = getattr(m, "_eigenvalues", None)
+    stored = m._eigenvalues
     if stored is None:
         stored = _jacobi(m.entries, MAX_SWEEPS)
         object.__setattr__(m, "_eigenvalues", stored)
@@ -335,12 +339,21 @@ class VerificationReport:
     rel_tol: float
 
     def to_json_dict(self) -> dict:
+        dev = self.max_deviation
         return {
             "pass": self.passed,
-            "max_deviation": self.max_deviation,
+            "max_deviation": dev if math.isfinite(dev) else None,  # inf is not JSON
             "eigenvalues": list(self.eigenvalues),
             "target": list(self.target),
         }
+
+
+# slot setters, bound once; each gets past the frozen __setattr__
+_set_passed = VerificationReport.passed.__set__
+_set_max_deviation = VerificationReport.max_deviation.__set__
+_set_eigenvalues = VerificationReport.eigenvalues.__set__
+_set_target = VerificationReport.target.__set__
+_set_rel_tol = VerificationReport.rel_tol.__set__
 
 
 def verify_spectrum(m, s: Spectrum, rel_tol: float = 1e-9) -> VerificationReport:
@@ -364,7 +377,13 @@ def verify_spectrum(m, s: Spectrum, rel_tol: float = 1e-9) -> VerificationReport
               abs(x5 - t5))
     # max|lam_i| of the sorted target sits at one of its ends
     bound = rel_tol * max(abs(t1), abs(t5))
-    return VerificationReport(dev <= bound, dev, eigs, target, rel_tol)
+    out = object.__new__(VerificationReport)
+    _set_passed(out, dev <= bound)
+    _set_max_deviation(out, dev)
+    _set_eigenvalues(out, eigs)
+    _set_target(out, target)
+    _set_rel_tol(out, rel_tol)
+    return out
 
 
 def entry_bound_check(m) -> bool:
@@ -373,7 +392,8 @@ def entry_bound_check(m) -> bool:
     Checked with slack ``1e-12 * (1 + rho)`` on both sides.
     """
     m = _matrix(m)
-    vals = sym_eigenvalues(m).values
+    stored = m._eigenvalues
+    vals = (sym_eigenvalues(m) if stored is None else stored).values
     rho = max(vals[0], -vals[4])  # the descending ends hold the largest |x|
     slack = ENTRY_SLACK * (1.0 + rho)
     r0, r1, r2, r3, r4 = m.entries

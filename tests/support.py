@@ -141,7 +141,10 @@ def bytes_each(build, n=2000):
     """Traced bytes per result of ``build()`` with ``n`` results kept.
 
     Counted after a few warm-up calls and a full collection, which empties
-    the free lists, so each result is a fresh allocation.
+    the free lists, so each result is a fresh allocation.  A second full
+    collection before the count empties them again: a temporary that a
+    call freed onto one of CPython's free lists, and that no later call
+    took back, is not part of any kept result.
     """
     for _ in range(8):
         build()
@@ -152,6 +155,7 @@ def bytes_each(build, n=2000):
         base = tracemalloc.get_traced_memory()[0]
         for i in range(n):
             kept[i] = build()
+        gc.collect()
         used = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()

@@ -526,6 +526,16 @@ def test_a_kept_decision_costs_at_most_120_bytes():
     assert bytes_each(lambda: sn.classify(s)) <= 120
 
 
+def test_kept_bytes_do_not_depend_on_the_list_scale():
+    # EX1 is decided at unit scale through a throwaway 2**-9 copy, whose
+    # values tuple is freed onto CPython's tuple free list; that tuple is
+    # no part of the kept decision, so both lists keep the same bytes
+    unit = sn.SortedSpectrum(tuple(math.ldexp(x, -9) for x in EX1.values))
+    off_scale = bytes_each(lambda: sn.classify(EX1))
+    at_unit = bytes_each(lambda: sn.classify(unit))
+    assert abs(off_scale - at_unit) <= 8, (off_scale, at_unit)
+
+
 @pytest.mark.parametrize("copy_", [
     lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
 ], ids=["pickle", "copy", "deepcopy"])
@@ -647,7 +657,7 @@ def test_classify_builds_no_gate_report(monkeypatch):
         rows = list(sn.sample_region(24, [0.0, 0.1, 0.35]))
     # calling both gates from classify built 24,708 reports for these rows
     assert len(rows) == 18_290 and not built
-    sn.build_pattern_a(EX1)
+    sn.pattern_a_conditions(EX1)
     assert len(built) == 1
 
 

@@ -396,6 +396,27 @@ def test_verify_fails_a_matrix_whose_norm_overflows(tmp_path):
         assert "FAIL" in text
 
 
+def test_verify_json_writes_an_overflowed_deviation_as_null(tmp_path):
+    # 1.5e308 - (-1e308) overflows, so the deviation is inf: the JSON
+    # writes null there, the text prints inf, and both fail with exit 3
+    rows = [[0.0] * 5 for _ in range(5)]
+    rows[0][0] = 1.5e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(rows))
+    args = ("verify", "--matrix", str(path),
+            "--spectrum=-1e308,-1e308,-1e308,-1e308,-1e308")
+    code, text = run(*args, "--format", "json")
+    assert code == 3
+    payload = json.loads(text, parse_constant=_refuse)
+    assert payload["pass"] is False
+    assert payload["max_deviation"] is None
+    assert payload["eigenvalues"] == [1.5e308, 0.0, 0.0, 0.0, 0.0]
+    code, text = run(*args)
+    assert code == 3
+    assert text.startswith(
+        "verification: FAIL (max deviation inf, tolerance 1e-09 relative)\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_verify_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
     # diag(0, 0, 0, 0, 1) is nowhere near EX1; an infinite tolerance passed it

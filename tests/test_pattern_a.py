@@ -104,6 +104,41 @@ def test_build_rejects_failed_gate():
     assert "r_nonnegative" in exc.value.failed
 
 
+# lists that fail each check of the five-cycle gate, alone and several at
+# once; the names were recorded from a builder that built the gate's full
+# report on every call
+GATE_FAILURES = [
+    ((1000.0, 370.0, 367.0, -637.0, -750.0), ("r_nonnegative",)),
+    ((1.0, 0.2, 0.1, -0.9, -0.95), ("trace_nonnegative",)),
+    ((1.0, 0.5, 0.1, -0.2, -0.3), ("third_exceeds_trace",)),
+    ((1.0, 0.91, 0.62, -0.77, -1.16), ("min_above_negated_perron",)),
+    ((1.0, 0.5, 0.4, -0.6, -1.0), ("min_above_negated_perron", "r_nonnegative")),
+    ((1.0, 0.83, 0.43, -0.18, -1.14),
+     ("min_above_negated_perron", "third_exceeds_trace")),
+    ((1.0, 0.27, -0.93, -1.0, -1.01),
+     ("min_above_negated_perron", "trace_nonnegative")),
+    ((1.0, 0.5, 0.4, -0.95, -0.99), ("trace_nonnegative", "r_nonnegative")),
+    ((1.0, 0.66, 0.58, -0.72, -0.89), ("third_exceeds_trace", "r_nonnegative")),
+    ((1.0, -0.5, -0.6, -0.9, -1.5),
+     ("min_above_negated_perron", "trace_nonnegative", "r_nonnegative")),
+]
+
+
+@pytest.mark.parametrize("k", [0, 12, -1000])
+@pytest.mark.parametrize("vals,failed", GATE_FAILURES)
+def test_build_names_every_failed_check(vals, failed, k):
+    # the builder decides the gate by plain comparisons; a failing list
+    # still gets the gate's names, in its order, at any power-of-two scale
+    s = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in vals))
+    assert sn.pattern_a_conditions(s).failed == failed
+    with pytest.raises(sn.PreconditionViolated) as exc:
+        sn.build_pattern_a(s)
+    assert type(exc.value) is sn.PreconditionViolated
+    assert exc.value.failed == failed
+    assert str(exc.value) == (
+        "spectrum fails the five-cycle gate: " + ", ".join(failed))
+
+
 def test_sampled_region_build_and_verify():
     rng = np.random.default_rng(41)
     for s in sample_until(rng, lambda s: bool(sn.pattern_a_conditions(s)), 300):

@@ -292,6 +292,66 @@ def test_build_rejects_non_root():
     assert "g_is_a_root" in exc.value.failed
 
 
+# (list, g, failed): each check of the two-paths builder failing alone and
+# several at once; the names were recorded from a builder that built the
+# full report on every call.  Each g is a root of Q unless g_is_a_root is
+# named
+BUILD_FAILURES = [
+    ((1000.0, 370.0, 367.0, -637.0, -750.0), 50.0, ("g_is_a_root",)),
+    ((1000.0, 370.0, 367.0, -637.0, -750.0), "-0x1.2bbedd41761c7p+2",
+     ("g_in_range",)),
+    ((1000.0, 370.0, 367.0, -637.0, -750.0), -1.0,
+     ("g_is_a_root", "g_in_range")),
+    ((1.0, 0.97, 0.94, -0.93, -1.09), "0x1.577c2f3542134p-9",
+     ("min_above_negated_perron",)),
+    ((1.0, 0.9, 0.3, -0.5, -0.6), "0x1.b1d5a44e60bfbp-2",
+     ("third_exceeds_trace",)),
+    ((1.0, 0.83, 0.43, -0.18, -1.14), "0x1.17b4012f0129dp-4",
+     ("min_above_negated_perron", "third_exceeds_trace")),
+    ((1.0, 0.5, 0.2, -0.9, -0.95), "0x1.394421caf8badp-3",
+     ("g_in_range", "trace_nonnegative")),
+    ((1.0, 0.6, 0.5, -0.55, -1.1), 0.0,
+     ("g_is_a_root", "min_above_negated_perron")),
+    ((1.0, 0.9, 0.3, -0.5, -0.6), 50.0,
+     ("g_is_a_root", "g_in_range", "third_exceeds_trace")),
+    ((1.0, -0.5, -0.6, -0.9, -1.5), 0.0,
+     ("g_is_a_root", "g_in_range", "min_above_negated_perron",
+      "trace_nonnegative")),
+]
+
+
+@pytest.mark.parametrize("k", [0, 12, -1000])
+@pytest.mark.parametrize("vals,g,failed", BUILD_FAILURES)
+def test_build_names_every_failed_check(vals, g, failed, k):
+    # the builder decides its checks by plain comparisons; a failing call
+    # still names them in the report's order, at any power-of-two scale
+    g = float.fromhex(g) if isinstance(g, str) else g
+    s = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in vals))
+    with pytest.raises(sn.PreconditionViolated) as exc:
+        sn.build_pattern_b(s, math.ldexp(g, k))
+    assert type(exc.value) is sn.PreconditionViolated
+    assert exc.value.failed == failed
+    assert str(exc.value) == "two-paths gate failed: " + ", ".join(failed)
+
+
+def test_passing_builds_make_no_condition_report(monkeypatch):
+    built = []
+    init = sn.ConditionReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sn.ConditionReport, "__init__", counting)
+    sn.build_pattern_a(EX1)
+    sn.build_pattern_b(EX2, EX2_G)
+    assert not built
+    # the count sees a report: a failing build makes one to name its checks
+    with pytest.raises(sn.PreconditionViolated):
+        sn.build_pattern_b(EX2, 50.0)
+    assert len(built) == 1
+
+
 def test_entries_negative_radicand():
     # far above lam3 the first radicand goes negative
     with pytest.raises(sn.NegativeRadicand):

@@ -407,6 +407,56 @@ def test_char_poly_bit_identical_to_reference():
     assert any("nan" in c for coeffs in got for c in coeffs)
 
 
+def _report_fields(rep):
+    return (type(rep.passed), rep.passed, rep.max_deviation.hex(),
+            hex_bits(rep.eigenvalues), hex_bits(rep.target), rep.rel_tol.hex())
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 0.5])
+def test_verify_report_matches_the_public_constructor(rel_tol):
+    # verify_spectrum fills the report's slots itself; each field must
+    # carry the bits the public constructor stores from the same numbers,
+    # against the eigenvalues themselves and against the sorted diagonal
+    checked = 0
+    for m in _kernel_cases():
+        eigs = _jacobi_reference(m)
+        diag = sn.sort_descending(sn.Spectrum(np.diagonal(np.asarray(m))))
+        for target in (sn.SortedSpectrum(eigs), diag):
+            t = target.values
+            dev = max(abs(x - y) for x, y in zip(eigs, t))
+            want = sn.VerificationReport(
+                dev <= rel_tol * max(abs(t[0]), abs(t[4])), dev, eigs, t, rel_tol)
+            got = sn.verify_spectrum(m, target, rel_tol=rel_tol)
+            assert type(got) is sn.VerificationReport
+            assert got == want
+            assert _report_fields(got) == _report_fields(want)
+            checked += got.passed
+    assert 0 < checked < 2 * len(_kernel_cases())
+
+
+def test_symmatrix_fields_repr_and_eq_stay_those_of_the_dataclass():
+    # the class-level _eigenvalues default is no field: not in fields(),
+    # repr or pickled state before a store, and equality stays identity
+    import dataclasses
+    import pickle
+
+    assert [f.name for f in dataclasses.fields(sn.SymMatrix5)] == \
+        ["entries", "provenance"]
+    m = sn.SymMatrix5(np.eye(5))
+    row = "(1.0, 0.0, 0.0, 0.0, 0.0)"
+    assert repr(m).startswith(f"SymMatrix5(entries=({row}, (0.0, 1.0,")
+    assert repr(m).endswith("(0.0, 0.0, 0.0, 0.0, 1.0)), provenance='external')")
+    assert "_eigenvalues" not in vars(m)
+    assert m._eigenvalues is None
+    twin = pickle.loads(pickle.dumps(m))
+    assert twin._eigenvalues is None
+    assert m == m and m != twin and m != sn.SymMatrix5(np.eye(5))
+    before = repr(m)
+    sn.sym_eigenvalues(m)
+    assert repr(m) == before
+    assert sn.SymMatrix5._eigenvalues is None
+
+
 def test_symmatrix_stores_its_eigenvalues():
     m = sn.build_pattern_a(EX1)
     first = sn.sym_eigenvalues(m)
