@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BoundaryProximityWarning, NotTraceZero
 from .pattern_a import build_pattern_a
 from .pattern_b import build_pattern_b, find_g
-from .spectrum import SortedSpectrum, SymMatrix5, _unit_scale
+from .spectrum import SortedSpectrum, SymMatrix5, _unit_scale, _unsorted
 
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
@@ -149,7 +149,13 @@ def _decided(
 
 
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
-    """Decide realizability of a descending spectrum; first matching rule wins."""
+    """Decide realizability of a descending spectrum; first matching rule wins.
+
+    ``s`` must be a ``SortedSpectrum`` (see ``sort_descending``); any other
+    value raises ``TypeError``.
+    """
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     l1, l2, l3, l4, l5 = s.values
     det = _new(DecisionDetails)
     _set_spectrum(det, s)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 from .classify import (
@@ -51,8 +52,13 @@ class Perturbation:
     s: float
 
     def __post_init__(self):
-        if self.i not in (2, 3, 4, 5):
+        try:
+            i = operator.index(self.i)  # an int or numpy integer, not 2.0
+        except TypeError:
+            i = None
+        if i not in (2, 3, 4, 5):
             raise ValueError(f"index must be one of 2..5, got {self.i}")
+        object.__setattr__(self, "i", i)
         sign = self.sign if isinstance(self.sign, Sign) else Sign(self.sign)
         object.__setattr__(self, "sign", sign)
         s = float(self.s)

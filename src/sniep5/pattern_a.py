@@ -12,25 +12,29 @@ When the gate in :func:`pattern_a_conditions` passes, the sparse symmetric
 matrix assembled in :func:`pattern_a_entries` is entrywise nonnegative and
 has sigma as its spectrum.  Both are taken at unit scale (the entries are
 homogeneous of degree 1), where v, of degree 6, cannot overflow.  The
-builder decides the gate by plain comparisons; only a list that fails it
-gets the gate's report, to name the failed checks.
+gate and the builder decide the same four bools, the shared region checks
+then r >= 0, under one names tuple; the builder builds a report only to
+name the checks a failing list fails.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DegenerateU, NegativeRadicand, PreconditionViolated
+from .errors import DegenerateU, NegativeRadicand
 from .spectrum import (
+    _REGION_NAMES,
     ConditionReport,
     PatternAScalars,
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
-    _in_region,
-    _region_checks,
+    _region,
+    _require,
     _unit_scale,
 )
+
+_GATE = (*_REGION_NAMES, "r_nonnegative")
 
 
 def compute_uvwr(s: SortedSpectrum) -> PatternAScalars:
@@ -47,7 +51,7 @@ def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
     is well defined and the result is nonnegative.
     """
     s = _unit_scale(s)[0]
-    return ConditionReport((*_region_checks(s), ("r_nonnegative", s.uvwr.r >= 0.0)))
+    return ConditionReport(tuple(zip(_GATE, (*_region(s), s.uvwr.r >= 0.0))))
 
 
 def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
@@ -77,18 +81,11 @@ def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:
 
 def build_pattern_a(s: SortedSpectrum) -> SymMatrix5:
     """Construct the realizing five-cycle matrix for a gated spectrum."""
-    l1, _, _, _, l5 = s.values
-    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
+    unit, k = _unit_scale(s)
     sc = unit.uvwr
     if sc.u == 0.0:
         raise DegenerateU("u = 0: the five-cycle matrix is undefined")
-    if not (_in_region(unit) and sc.r >= 0.0):
-        failed = pattern_a_conditions(unit).failed
-        raise PreconditionViolated(
-            f"spectrum fails the five-cycle gate: {', '.join(failed)}", failed
-        )
+    _require("spectrum fails the five-cycle gate", _GATE, (*_region(unit), sc.r >= 0.0))
     if not (sc.u > 0.0 and sc.v >= 0.0 and sc.w >= 0.0):
         raise NegativeRadicand(f"gate passed at u={sc.u}, v={sc.v}, w={sc.w}")
-    rows = pattern_a_entries(unit)
-    return _built_matrix(tuple(tuple(math.ldexp(x, k) for x in row) for row in rows)
-                         if k else rows, "pattern_a")
+    return _built_matrix(pattern_a_entries(unit), "pattern_a", k)

@@ -13,11 +13,12 @@ lying in [0, e1/2].  With
 
 the sparse symmetric matrix in :func:`pattern_b_entries` realizes the
 spectrum whenever the gate in :func:`pattern_b_conditions` passes.
-:func:`compute_klm` gives (k, l, m) as a plain tuple.  The gate and the
-builder apply the region checks of the five-cycle gate, in its order; the
-builder decides its checks by plain comparisons and builds a report only
-to name those a call fails.  ``find_g``, the gate and the builder work at
-unit scale, then scale back.
+:func:`compute_klm` gives (k, l, m) as a plain tuple.  The gate is the
+five-cycle gate's region checks, in its order, then ``root_in_range``; the
+builder checks ``g_is_a_root`` and ``g_in_range`` and then the same region
+checks, and builds a report only to name the checks a call fails.  A g
+whose residual or residual bound overflows is not a root.  ``find_g``, the
+gate and the builder work at unit scale, then scale back.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ import math
 from dataclasses import dataclass
 
 from . import cubic
-from .errors import NegativeRadicand, PreconditionViolated
+from .errors import NegativeRadicand
 from .spectrum import (
+    _REGION_NAMES,
     ConditionReport,
     SortedSpectrum,
     SymMatrix5,
     _built_matrix,
-    _in_region,
-    _region_checks,
+    _region,
+    _require,
     _unit_scale,
 )
 
@@ -43,6 +45,9 @@ RANGE_SLACK = 1e-12
 
 # a root of Q can carry m slightly past zero; anything this small is noise
 M_CLAMP_TOL = 1e-9
+
+_GATE = (*_REGION_NAMES, "root_in_range")
+_BUILD = ("g_is_a_root", "g_in_range", *_REGION_NAMES)
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,7 @@ def find_g(s: SortedSpectrum) -> float | None:
     reads: where it rules one out, the solve could admit none, so the
     answer is None with the same bits as the solve's.
     """
-    l1, _, _, _, l5 = s.values
-    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
+    unit, k = _unit_scale(s)
     half = 0.5 * unit.elem_syms.e1
     if half < 0.0:
         return None  # the interval is empty, so Q is not solved
@@ -139,8 +143,8 @@ def pattern_b_conditions(s: SortedSpectrum) -> ConditionReport:
     the selected g whenever one exists.
     """
     g = find_g(s)
-    checks = (*_region_checks(_unit_scale(s)[0]), ("root_in_range", g is not None))
-    return ConditionReport(checks, g=g)
+    oks = (*_region(_unit_scale(s)[0]), g is not None)
+    return ConditionReport(tuple(zip(_GATE, oks)), g=g)
 
 
 def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], ...]:
@@ -169,20 +173,17 @@ def pattern_b_entries(s: SortedSpectrum, g: float) -> tuple[tuple[float, ...], .
 
 def build_pattern_b(s: SortedSpectrum, g: float) -> SymMatrix5:
     """Construct the realizing two-paths matrix at the diagonal parameter g."""
-    l1, _, _, _, l5 = s.values
-    unit, k = (s, 0) if 1.0 <= l1 < 2.0 and l5 > -2.0 else _unit_scale(s)
+    unit, k = _unit_scale(s)
     c = _q_coeffs(unit)
     gu = math.ldexp(g, -k)  # a Python float, so the rows are computed in float64
     admitted = _admit(unit, (gu,))
-    is_root = abs(cubic.evaluate(*c, gu)) <= cubic.residual_bound(*c, gu)
-    if not (is_root and admitted is not None and _in_region(unit)):
-        checks = (("g_is_a_root", is_root), ("g_in_range", admitted is not None))
-        failed = ConditionReport((*checks, *_region_checks(unit))).failed
-        raise PreconditionViolated(
-            f"two-paths gate failed: {', '.join(failed)}", failed
-        )
+    try:  # a g whose residual or bound overflows is not a root
+        is_root = abs(cubic.evaluate(*c, gu)) <= cubic.residual_bound(*c, gu) < math.inf
+    except OverflowError:  # the bound's float power raises where a product gives inf
+        is_root = False
+    _require("two-paths gate failed", _BUILD,
+             (is_root, admitted is not None, *_region(unit)))
     rows = pattern_b_entries(unit, admitted)  # admitted is clamped onto [0, e1/2]
     if not rows[1][4] > 0.0:
         raise NegativeRadicand(f"entry scalar out of range at g={g}: k={rows[1][4]}")
-    return _built_matrix(tuple(tuple(math.ldexp(x, k) for x in row) for row in rows)
-                         if k else rows, "pattern_b")
+    return _built_matrix(rows, "pattern_b", k)

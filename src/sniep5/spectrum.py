@@ -4,8 +4,12 @@ A *spectrum* here is always a list of five real numbers, the candidate
 eigenvalues of a symmetric entrywise-nonnegative 5x5 matrix.  This module
 holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
 :class:`ElemSyms`, :class:`PatternAScalars`, :class:`SymMatrix5`,
-:class:`ConditionReport`), the elementary symmetric polynomials, the
-five-cycle scalars u/v/w/r, and the region checks both pattern gates share.
+:class:`ConditionReport`), the elementary symmetric polynomials and the
+five-cycle scalars u/v/w/r.  It also holds, once, what both pattern modules
+share: the region checks (``_region``, named by ``_REGION_NAMES``), the
+failure naming of a builder (``_require``), the step to unit scale
+(``_unit_scale``, which refuses an unsorted list) and the scale-back of the
+built rows (``_built_matrix``).
 
 ``Spectrum`` converts, checks and stores its values in one step, in a
 hand-written ``__init__``.  It computes e1..e5 (and a sorted one u/v/w/r)
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpectrum
+from .errors import InvalidSpectrum, PreconditionViolated
 
 N = 5
 
@@ -220,16 +224,31 @@ def _checked_sorted(values: tuple) -> SortedSpectrum:
     return out
 
 
+def _unsorted(s) -> TypeError:
+    """The error for a list that is not a ``SortedSpectrum``: read in place,
+    its first and last entries need not be lam1 and lam5."""
+    return TypeError(
+        f"expected a SortedSpectrum (see sort_descending), got {type(s).__name__}")
+
+
 def _unit_scale(s: SortedSpectrum) -> tuple[SortedSpectrum, int]:
     """``s`` times 2**-k with max|lam_i| = max(lam1, -lam5) in [1, 2), and k;
-    exact short of underflow.  A list already in [1, 2) comes back as itself."""
+    exact short of underflow.  A list already in [1, 2) comes back as itself.
+
+    ``find_g``, both gates and both builders take their list through here, so
+    this one check refuses an unsorted ``Spectrum`` for all of them.
+    """
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     l1, _, _, _, l5 = values = s.values
+    if 1.0 <= l1 < 2.0 and l5 > -2.0:
+        return s, 0
     k = math.frexp(max(l1, -l5))[1] - 1
     return (_checked_sorted(tuple(math.ldexp(x, -k) for x in values)) if k else s), k
 
 
-def _built_matrix(rows: tuple, provenance: str) -> SymMatrix5:
-    """A ``SymMatrix5`` of a pattern builder's rows without the generic checks.
+def _built_matrix(rows: tuple, provenance: str, k: int = 0) -> SymMatrix5:
+    """A ``SymMatrix5`` of builder rows times 2**k without the generic checks.
 
     Only for five 5-tuples of Python floats that are exactly symmetric by
     construction, as ``pattern_a_entries`` and ``pattern_b_entries`` write
@@ -238,6 +257,8 @@ def _built_matrix(rows: tuple, provenance: str) -> SymMatrix5:
     constructor's messages: an overflowed scalar gives a non-finite entry,
     and a negative entry refutes the ``provenance`` tag.
     """
+    if k:
+        rows = tuple(tuple(math.ldexp(x, k) for x in row) for row in rows)
     r0, r1, r2, r3, r4 = rows
     flat = (*r0, *r1, *r2, *r3, *r4)
     if not all(map(math.isfinite, flat)):
@@ -300,22 +321,24 @@ class ConditionReport:
         return self.passed
 
 
-def _region_checks(s: SortedSpectrum) -> tuple[tuple[str, bool], ...]:
-    """The region conditions both pattern gates and builders share, in order."""
-    l1, _, l3, _, l5 = s.values
-    e1 = s.elem_syms.e1
-    return (
-        ("min_above_negated_perron", l5 > -l1),
-        ("trace_nonnegative", e1 >= 0.0),
-        ("third_exceeds_trace", l3 > e1),
-    )
+# the names of the region checks both pattern gates and both builders share,
+# in the order _region gives them
+_REGION_NAMES = ("min_above_negated_perron", "trace_nonnegative", "third_exceeds_trace")
 
 
-def _in_region(s: SortedSpectrum) -> bool:
-    """True when every check of ``_region_checks(s)`` holds, as one plain bool."""
+def _region(s: SortedSpectrum) -> tuple[bool, bool, bool]:
+    """The region checks of ``s``: lam5 > -lam1, e1 >= 0 and lam3 > e1."""
     l1, _, l3, _, l5 = s.values
     e1 = s.elem_syms.e1
-    return l5 > -l1 and e1 >= 0.0 and l3 > e1
+    return l5 > -l1, e1 >= 0.0, l3 > e1
+
+
+def _require(what: str, names: tuple, oks: tuple) -> None:
+    """Raise ``PreconditionViolated`` naming each check whose bool in ``oks``
+    is False; the ``ConditionReport`` that names them is built only then."""
+    if not all(oks):
+        failed = ConditionReport(tuple(zip(names, oks))).failed
+        raise PreconditionViolated(f"{what}: {', '.join(failed)}", failed)
 
 
 _PATTERN_PROVENANCE = ("pattern_a", "pattern_b")

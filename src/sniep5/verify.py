@@ -392,8 +392,7 @@ def entry_bound_check(m) -> bool:
     Checked with slack ``1e-12 * (1 + rho)`` on both sides.
     """
     m = _matrix(m)
-    stored = m._eigenvalues
-    vals = (sym_eigenvalues(m) if stored is None else stored).values
+    vals = sym_eigenvalues(m).values
     rho = max(vals[0], -vals[4])  # the descending ends hold the largest |x|
     slack = ENTRY_SLACK * (1.0 + rho)
     r0, r1, r2, r3, r4 = m.entries

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
-from sniep5.spectrum import _region_checks
+from sniep5.spectrum import _region
 from support import bytes_each, draw_box_point, poly_from_roots, sample_until
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -631,7 +631,7 @@ def test_pattern_stage_verdicts_agree_with_the_named_gates(case):
     if d.verdict is not Verdict.UNKNOWN and d.certificate not in (
             Certificate.PATTERN_A, Certificate.PATTERN_B):
         return
-    assert all(ok for _, ok in _region_checks(s)), vals
+    assert all(_region(s)), vals
     report_a = sn.pattern_a_conditions(s)
     report_b = sn.pattern_b_conditions(s)
     if d.certificate is Certificate.PATTERN_A:
@@ -712,3 +712,12 @@ def test_typed_stream_answers_are_byte_identical():
         for text, p in _typed_stream(20181, 6000):
             h.update(_answer_bytes(text, p))
     assert h.hexdigest() == _STREAM_DIGEST
+
+
+def test_classify_refuses_an_unsorted_spectrum():
+    # read in place, (-1, 1, 0.5, 0, 0) would fail the Perron check, though
+    # the sorted list is certified two_positive
+    s = sn.Spectrum((-1.0, 1.0, 0.5, 0.0, 0.0))
+    with pytest.raises(TypeError, match="sort_descending"):
+        sn.classify(s)
+    assert sn.classify(sn.sort_descending(s)).certificate is Certificate.TWO_POSITIVE

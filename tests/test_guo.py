@@ -29,6 +29,16 @@ def test_perturbation_validation():
         sn.Perturbation(i=3, sign="sideways", s=1.0)
 
 
+def test_perturbation_index_must_be_an_integer():
+    # 2.0 is not an index: it would fail later, as a list index, in decide_perturbed
+    with pytest.raises(ValueError, match="index"):
+        sn.Perturbation(i=2.0, sign="minus", s=1.0)
+    p = sn.Perturbation(i=np.int64(2), sign="minus", s=1.0)
+    assert type(p.i) is int and p.i == 2
+    assert sn.decide_perturbed(EX1, p).to_json_dict() == sn.decide_perturbed(
+        EX1, sn.Perturbation(i=2, sign="minus", s=1.0)).to_json_dict()
+
+
 def test_perturbation_sign_coercion():
     p = sn.Perturbation(i=4, sign="plus", s=2.0)
     assert p.sign is Sign.PLUS

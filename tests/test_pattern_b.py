@@ -334,6 +334,15 @@ def test_build_names_every_failed_check(vals, g, failed, k):
     assert str(exc.value) == "two-paths gate failed: " + ", ".join(failed)
 
 
+@pytest.mark.parametrize("g", [math.inf, -math.inf, 1e120, -1e200, math.nan])
+def test_build_refuses_a_huge_or_non_finite_g(g):
+    # |Q(inf)| = inf is not under an infinite residual bound, and the bound's
+    # float cube raises OverflowError at 1e120: neither g is a root
+    with pytest.raises(sn.PreconditionViolated) as info:
+        sn.build_pattern_b(EX2, g)
+    assert info.value.failed == ("g_is_a_root", "g_in_range")
+
+
 def test_passing_builds_make_no_condition_report(monkeypatch):
     built = []
     init = sn.ConditionReport.__init__

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
-from sniep5.spectrum import _built_matrix
+from sniep5.spectrum import _built_matrix, _unit_scale
 from support import (
     assert_ident,
     bytes_each,
@@ -511,3 +511,40 @@ def test_sym_matrix_parse_rejects_asymmetric_text():
     text = "\n".join(" ".join("%.17g" % v for v in row) for row in rows)
     with pytest.raises(ValueError):
         sn.SymMatrix5.parse(text)
+
+
+_BELOW_2 = math.nextafter(2.0, 0.0)
+
+
+@pytest.mark.parametrize("l1", [0.75, math.nextafter(1.0, 0.0), 1.0, _BELOW_2, 2.0])
+@pytest.mark.parametrize("l5", [-0.5, -_BELOW_2, -2.0])
+def test_unit_scale_keeps_exactly_the_lists_already_at_unit_scale(l1, l5):
+    # the inline fast path and the frexp path must agree at every edge
+    s = sn.SortedSpectrum((l1, 0.5, 0.0, -0.25, l5))
+    unit, k = _unit_scale(s)
+    top = max(l1, -l5)
+    assert (unit is s and k == 0) == (math.frexp(top)[1] == 1)
+    assert k == math.frexp(top)[1] - 1
+    assert unit.values == tuple(math.ldexp(x, -k) for x in s.values)
+    assert 1.0 <= max(unit.lam1, -unit.lam5) < 2.0
+
+
+# read in place, each list's first and last entries are not its lam1 and
+# lam5; sorted, they are EX1 (five-cycle) and EX2 (two-paths)
+_UNSORTED_A = sn.Spectrum((-750.0, 1000.0, 381.0, 360.0, -641.0))
+_UNSORTED_B = sn.Spectrum((-750.0, 1000.0, 370.0, 367.0, -637.0))
+
+
+@pytest.mark.parametrize("call, s", [
+    (lambda s: _unit_scale(s), _UNSORTED_B),
+    (lambda s: sn.find_g(s), _UNSORTED_B),
+    (lambda s: sn.pattern_a_conditions(s), _UNSORTED_A),
+    (lambda s: sn.pattern_b_conditions(s), _UNSORTED_B),
+    (lambda s: sn.build_pattern_a(s), _UNSORTED_A),
+    (lambda s: sn.build_pattern_b(s, 174.23919393152335), _UNSORTED_B),
+], ids=["_unit_scale", "find_g", "pattern_a_conditions",
+        "pattern_b_conditions", "build_pattern_a", "build_pattern_b"])
+def test_the_pattern_layer_refuses_an_unsorted_spectrum(call, s):
+    with pytest.raises(TypeError, match="sort_descending"):
+        call(s)
+    call(sn.sort_descending(s))

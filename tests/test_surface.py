@@ -69,3 +69,17 @@ def test_value_records_keep_their_named_tuple_behavior():
         assert tuple(value._asdict().values()) == plain
         assert [getattr(value, f) for f in fields] == list(plain)
         assert cls(*plain) == value
+
+
+_SRC = "\n".join(p.read_text() for p in sorted(ROOT.glob("src/sniep5/*.py")))
+
+
+@pytest.mark.parametrize("piece", [
+    # each gate's check names, written once and shared
+    '"min_above_negated_perron"', '"trace_nonnegative"', '"third_exceeds_trace"',
+    '"r_nonnegative"', '"root_in_range"', '"g_is_a_root"', '"g_in_range"',
+    # the unit-scale fast test and the builders' scale-back
+    "l5 > -2.0", "math.ldexp(x, k) for x in row",
+])
+def test_each_piece_of_the_pattern_layer_is_written_once(piece):
+    assert _SRC.count(piece) == 1, piece
