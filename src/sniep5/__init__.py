@@ -28,7 +28,6 @@ from .errors import (
     InvalidSpectrum,
     NegativeRadicand,
     NoConvergence,
-    NotTraceZero,
     PreconditionViolated,
     SniepError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "InvalidSpectrum",
     "NegativeRadicand",
     "NoConvergence",
-    "NotTraceZero",
     "PatternAScalars",
     "PerturbedDecision",
     "Perturbation",

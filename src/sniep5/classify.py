@@ -6,9 +6,10 @@ outright, then the boundary exclusion, and finally the two explicit matrix
 patterns.  Spectra surviving every rule are Unknown: undecided by this
 toolbox, not proven unrealizable.
 
-``classify_trace_zero`` answers the zero-sum case exactly: with the sum
-zero and lam5 >= -lam1, realizability holds precisely when the cube sum is
-nonnegative and lam2 + lam5 <= 0.
+``classify_trace_zero`` answers the zero-sum face exactly: with the sum
+zero and lam5 >= -lam1, realizability holds precisely when the cube sum,
+taken at unit scale, is nonnegative and lam2 + lam5 <= 0.  Off the face it
+returns ``classify``'s decision, so it never raises on a sorted list.
 
 ``realize`` builds the matrix behind a pattern certificate.
 """
@@ -20,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import BoundaryProximityWarning, NotTraceZero
+from .errors import BoundaryProximityWarning
 from .pattern_a import build_pattern_a
 from .pattern_b import build_pattern_b, find_g
 from .spectrum import SortedSpectrum, SymMatrix5, _unit_scale, _unsorted
@@ -221,21 +222,21 @@ def is_trace_zero(s: SortedSpectrum) -> bool:
 
 
 def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
-    """Exact decision for zero-sum spectra with lam5 >= -lam1.
+    """Exact decision on the zero-sum face, and ``classify``'s off it.
 
-    Realizable precisely when the cube sum is nonnegative and
-    lam2 + lam5 <= 0.  Raises :class:`NotTraceZero` when the sum is off
-    zero by more than 1e-12 * max|lam_i|.
+    On the face (the sum is zero up to 1e-12 * max|lam_i|, and lam5 >= -lam1)
+    the list is realizable precisely when the cube sum, taken at unit scale,
+    is nonnegative and lam2 + lam5 <= 0.  An unsorted list raises TypeError.
     """
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     l1, l2, _, _, l5 = s.values
-    if l5 < -l1:
-        raise ValueError("trace-zero characterization needs lam5 >= -lam1")
-    if not is_trace_zero(s):
-        raise NotTraceZero(f"sum is {s.elem_syms.e1}, not zero")
+    if l5 < -l1 or not is_trace_zero(s):
+        return classify(s)
     det = DecisionDetails(s)
     # fsum: the sign of a sum that cancels must not depend on the Python
     # version (3.12's sum() is compensated, 3.11's is not)
-    cube_sum = math.fsum(v ** 3 for v in s.values)
+    cube_sum = math.fsum(v ** 3 for v in _unit_scale(s)[0].values)
     if cube_sum >= 0.0 and l2 + l5 <= 0.0:
         return _decided(Verdict.REALIZABLE, Certificate.TRACE_ZERO, None, det)
     return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_ZERO_VIOLATED, det)

@@ -1,4 +1,11 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+The deciders ``classify`` and ``classify_trace_zero`` raise none of these
+on a sorted list: every such list gets a decision.  The errors mark
+malformed input (``InvalidSpectrum``, also for a perturbation that leaves
+the float range), a constructor called outside its region, and numerical
+breakdown.
+"""
 
 
 class SniepError(Exception):
@@ -35,10 +42,6 @@ class DegenerateLeadingCoefficient(SniepError):
 class NoConvergence(SniepError):
     """The eigensolver missed its off-diagonal threshold within the sweep
     budget, or an eigenvalue is too large for a float."""
-
-
-class NotTraceZero(SniepError):
-    """Trace-zero classification was requested for a spectrum with nonzero sum."""
 
 
 class EmptyGrid(SniepError):

@@ -4,16 +4,19 @@
 re-sorts.  ``decide_perturbed`` exploits that realizability survives such
 perturbations on four closed families, for every size s at once:
 
-1. zero-sum realizable spectra, minus sign;
+1. spectra ``classify_trace_zero`` certifies as ``trace_zero``, minus sign;
 2. spectra ``classify`` certifies as ``suleimanova``, ``two_positive`` or
    ``direct_sum``, either sign;
 3. spectra ``classify`` certifies as ``pattern_a``, minus sign;
 4. spectra ``classify`` certifies as ``pattern_b``, minus sign.
 
-Families 2-4 are read from one ``classify`` of the original list.  Anything
-else falls back to classifying the perturbed list directly.  The closure
-verdicts certify existence only; an explicit matrix is attached exactly
-when ``classify`` certifies the perturbed list by one of the two patterns.
+The family is read from one decision of the original list, looked up in one
+table, ``_CLOSURES``: ``classify_trace_zero`` for a minus move (it is
+``classify`` off the zero-sum face), ``classify`` for a plus move, which
+keeps only the known-region row.  Anything else falls back to classifying
+the perturbed list directly.  The closure verdicts certify existence only;
+an explicit matrix is attached exactly when ``classify`` certifies the
+perturbed list by one of the two patterns.
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ from .classify import (
     _decided,
     classify,
     classify_trace_zero,
-    is_trace_zero,
     realize,
 )
 from .errors import InvalidSpectrum
-from .spectrum import SortedSpectrum, SymMatrix5, _checked_sorted
+from .spectrum import SortedSpectrum, SymMatrix5, _checked_sorted, _unsorted
 
 
 class Sign(enum.Enum):
@@ -80,6 +82,7 @@ class ClosureRule(enum.Enum):
 # the closure rule behind each certificate of the original list; only the
 # known-region closure also holds for plus moves
 _CLOSURES = {
+    Certificate.TRACE_ZERO: ClosureRule.TRACE_ZERO,
     Certificate.SULEIMANOVA: ClosureRule.KNOWN_REGION,
     Certificate.TWO_POSITIVE: ClosureRule.KNOWN_REGION,
     Certificate.DIRECT_SUM: ClosureRule.KNOWN_REGION,
@@ -105,6 +108,8 @@ class PerturbedDecision:
 
 
 def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     vals = list(s.values)
     vals[0] += p.s
     vals[p.i - 1] += p.s if p.sign is Sign.PLUS else -p.s
@@ -115,21 +120,13 @@ def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
 
 
 def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
-    """Decide realizability of the perturbed spectrum; first rule that fires wins."""
+    """Decide realizability of the perturbed spectrum; the closure rule is
+    read from one decision of the original list."""
     perturbed = apply_perturbation(s, p)
     minus = p.sign is Sign.MINUS
-
-    if (
-        minus
-        and s.lam5 >= -s.lam1
-        and is_trace_zero(s)
-        and classify_trace_zero(s).verdict is Verdict.REALIZABLE
-    ):
-        rule = ClosureRule.TRACE_ZERO
-    else:
-        rule = _CLOSURES.get(classify(s).certificate)
-        if not minus and rule is not ClosureRule.KNOWN_REGION:
-            rule = None
+    rule = _CLOSURES.get((classify_trace_zero if minus else classify)(s).certificate)
+    if not minus and rule is not ClosureRule.KNOWN_REGION:
+        rule = None
 
     direct = classify(perturbed)
     matrix = realize(perturbed, direct)

@@ -32,6 +32,7 @@ from .spectrum import (
     _region,
     _require,
     _unit_scale,
+    _unsorted,
 )
 
 _GATE = (*_REGION_NAMES, "r_nonnegative")
@@ -39,6 +40,8 @@ _GATE = (*_REGION_NAMES, "r_nonnegative")
 
 def compute_uvwr(s: SortedSpectrum) -> PatternAScalars:
     """The four scalar invariants of a descending spectrum, stored on it."""
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     return s.uvwr
 
 

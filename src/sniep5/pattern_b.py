@@ -37,6 +37,7 @@ from .spectrum import (
     _region,
     _require,
     _unit_scale,
+    _unsorted,
 )
 
 # slack, at unit scale, for deciding whether a computed root sits inside
@@ -84,6 +85,8 @@ def _q_coeffs(s: SortedSpectrum) -> tuple[float, float, float, float]:
 
 
 def q_poly(s: SortedSpectrum) -> CubicQ:
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     return CubicQ(*_q_coeffs(s))
 
 
@@ -126,6 +129,8 @@ def find_g(s: SortedSpectrum) -> float | None:
 
 def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:
     """The three entry scalars (k, l, m) at a given diagonal parameter."""
+    if not isinstance(s, SortedSpectrum):
+        raise _unsorted(s)
     _, _, l3, _, l5 = s.values
     e1, e2, _, _, _ = s.elem_syms
     return (

@@ -389,12 +389,14 @@ def verify_spectrum(m, s: Spectrum, rel_tol: float = 1e-9) -> VerificationReport
 def entry_bound_check(m) -> bool:
     """Entries of a symmetric nonnegative matrix lie in [0, spectral radius].
 
-    Checked with slack ``1e-12 * (1 + rho)`` on both sides.
+    Checked with slack ``1e-12 * rho`` on both sides: relative, as
+    ``verify_spectrum``'s tolerance is, so a tiny matrix is held to its
+    own scale.
     """
     m = _matrix(m)
     vals = sym_eigenvalues(m).values
     rho = max(vals[0], -vals[4])  # the descending ends hold the largest |x|
-    slack = ENTRY_SLACK * (1.0 + rho)
+    slack = ENTRY_SLACK * rho
     r0, r1, r2, r3, r4 = m.entries
     flat = (*r0, *r1, *r2, *r3, *r4)
     return -slack <= min(flat) and max(flat) <= rho + slack

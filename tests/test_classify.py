@@ -338,13 +338,17 @@ def test_trace_zero_tolerance():
 
 
 def test_trace_zero_requires_trace_zero():
-    with pytest.raises(sn.NotTraceZero):
-        sn.classify_trace_zero(EX1)
+    # off the zero-sum face the decision is classify's
+    assert sn.classify_trace_zero(EX1) == sn.classify(EX1)
+    assert sn.classify_trace_zero(EX1).certificate is Certificate.PATTERN_A
 
 
 def test_trace_zero_requires_perron_domination():
-    with pytest.raises(ValueError):
-        sn.classify_trace_zero(sn.SortedSpectrum((1.0, 0.5, 0.5, 0.0, -2.0)))
+    # a zero-sum list with lam5 < -lam1 is off the face too: classify's
+    # Perron check decides it
+    d = sn.classify_trace_zero(sn.SortedSpectrum((1.0, 0.5, 0.5, 0.0, -2.0)))
+    assert d.verdict is Verdict.NOT_REALIZABLE
+    assert d.reason is Reason.PF_VIOLATED
 
 
 def test_trace_zero_agrees_with_general_classifier():

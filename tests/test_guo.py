@@ -1,5 +1,6 @@
 """Perturbation moves and the closure-based decision rules."""
 import io
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -194,6 +195,30 @@ def test_small_minus_keeps_closure_decision_realizable():
             d = sn.decide_perturbed(s, sn.Perturbation(i=i, sign="minus", s=1e-9))
             assert d.rule is ClosureRule.TRACE_ZERO
             assert d.decision.verdict is Verdict.REALIZABLE
+
+
+# a zero-sum list whose cube sum is -0.75: off the trace-zero family
+_TRACE_ZERO_VIOLATOR = sn.SortedSpectrum((1.0, 0.5, 0.5, -1.0, -1.0))
+
+
+@pytest.mark.parametrize("k", [-1000, -400, -100, 0, 100, 400, 1000])
+def test_trace_zero_rule_does_not_depend_on_scale(k):
+    # the cubes are summed at unit scale: at 2**400 they would overflow, and
+    # at 2**-400 underflow to a zero sum that reads the violator realizable
+    lists = sample_trace_zero_realizable(np.random.default_rng(151), 20)
+    for s in lists + [_TRACE_ZERO_VIOLATOR]:
+        scaled = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in s.values))
+        want, got = sn.classify_trace_zero(s), sn.classify_trace_zero(scaled)
+        assert (got.verdict, got.certificate, got.reason) == (
+            want.verdict, want.certificate, want.reason), (s.values, k)
+        for i in (2, 3, 4, 5):
+            d = sn.decide_perturbed(s, sn.Perturbation(i, "minus", 0.01))
+            dk = sn.decide_perturbed(
+                scaled, sn.Perturbation(i, "minus", math.ldexp(0.01, k)))
+            assert (dk.rule, dk.decision.verdict) == (
+                d.rule, d.decision.verdict), (s.values, i, k)
+    assert sn.classify_trace_zero(_TRACE_ZERO_VIOLATOR).reason is (
+        Reason.TRACE_ZERO_VIOLATED)
 
 
 def _gate_rule(s, sign):

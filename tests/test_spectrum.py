@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sniep5 as sn
+from sniep5.pattern_b import compute_klm
 from sniep5.spectrum import _built_matrix, _unit_scale
 from support import (
     assert_ident,
@@ -533,6 +534,10 @@ def test_unit_scale_keeps_exactly_the_lists_already_at_unit_scale(l1, l5):
 # lam5; sorted, they are EX1 (five-cycle) and EX2 (two-paths)
 _UNSORTED_A = sn.Spectrum((-750.0, 1000.0, 381.0, 360.0, -641.0))
 _UNSORTED_B = sn.Spectrum((-750.0, 1000.0, 370.0, 367.0, -637.0))
+# read in place, -1 would move as lam1 and c2 of Q would be -1.0, not 2.0
+_UNSORTED_C = sn.Spectrum((-1.0, 1.0, 0.5, 0.0, 0.0))
+# sorted, (4, 0, 0, -2, -2) is on the zero-sum face; in place, lam5 < -lam1
+_UNSORTED_Z = sn.Spectrum((-2.0, 4.0, 0.0, 0.0, -2.0))
 
 
 @pytest.mark.parametrize("call, s", [
@@ -542,8 +547,18 @@ _UNSORTED_B = sn.Spectrum((-750.0, 1000.0, 370.0, 367.0, -637.0))
     (lambda s: sn.pattern_b_conditions(s), _UNSORTED_B),
     (lambda s: sn.build_pattern_a(s), _UNSORTED_A),
     (lambda s: sn.build_pattern_b(s, 174.23919393152335), _UNSORTED_B),
+    (lambda s: sn.compute_uvwr(s), _UNSORTED_C),
+    (lambda s: sn.q_poly(s), _UNSORTED_C),
+    (lambda s: compute_klm(s, 0.25), _UNSORTED_C),
+    (lambda s: sn.apply_perturbation(s, sn.Perturbation(2, "minus", 0.25)),
+     _UNSORTED_C),
+    (lambda s: sn.classify_trace_zero(s), _UNSORTED_Z),
+    (lambda s: sn.decide_perturbed(s, sn.Perturbation(2, "minus", 0.25)),
+     _UNSORTED_Z),
 ], ids=["_unit_scale", "find_g", "pattern_a_conditions",
-        "pattern_b_conditions", "build_pattern_a", "build_pattern_b"])
+        "pattern_b_conditions", "build_pattern_a", "build_pattern_b",
+        "compute_uvwr", "q_poly", "compute_klm", "apply_perturbation",
+        "classify_trace_zero", "decide_perturbed"])
 def test_the_pattern_layer_refuses_an_unsorted_spectrum(call, s):
     with pytest.raises(TypeError, match="sort_descending"):
         call(s)

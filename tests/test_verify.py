@@ -234,6 +234,15 @@ def test_entry_bound_check_accepts_zero():
     assert sn.entry_bound_check(np.zeros((5, 5)))
 
 
+def test_entry_bound_check_slack_is_relative():
+    # the entry -1e-13 is as large as rho = 1e-13 itself, and 100x the
+    # other eigenvalue; an absolute slack of 1e-12 let it pass
+    assert not sn.entry_bound_check(np.diag([1e-15, -1e-13, 0.0, 0.0, 0.0]))
+    tiny = [[math.ldexp(x, -100) for x in row]
+            for row in sn.build_pattern_a(EX1).entries]
+    assert sn.entry_bound_check(tiny)
+
+
 def _asymmetric_pattern_a():
     a = np.asarray(sn.build_pattern_a(EX1))
     a[2, 0] += 1.0  # lower triangle no longer mirrors the upper one
