@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import BoundaryProximityWarning
 from .pattern_a import build_pattern_a
 from .pattern_b import build_pattern_b, find_g
-from .spectrum import SortedSpectrum, SymMatrix5, _unit_scale, _unsorted
+from .spectrum import SortedSpectrum, SymMatrix5, _trace, _unit_scale, _unsorted
 
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
@@ -60,9 +60,10 @@ class DecisionDetails:
 
     ``e1`` is the spectrum's stored e1, ``u`` and ``r`` its stored five-cycle
     scalars, and ``mn_sum`` is lam1 + lam3 + lam4.  Nothing is computed until
-    it is read, so ``classify`` expands no e1..e5 for a spectrum that fails
-    the Perron check, and no u/v/w/r for one decided before the pattern
-    gates.  Two details compare equal when their spectra do.
+    it is read.  ``classify``'s linear rules read e1 from ``_trace``, with the
+    expansion's bits, so it expands e1..e5 and u/v/w/r only for a spectrum
+    that reaches the pattern stage; a detail read later expands them then,
+    with the same bits.  Two details compare equal when their spectra do.
     """
 
     spectrum: SortedSpectrum
@@ -168,7 +169,8 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
     if l1 >= 2.0 ** 1022:  # e1 can overflow: decide every rule at unit scale
         s, k = _unit_scale(s)
         l1, l2, l3, l4, l5 = s.values
-    if not s.elem_syms.e1 >= 0.0:
+    e1 = _trace(l1, l2, l3, l4, l5)
+    if not e1 >= 0.0:
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.TRACE_VIOLATED, det)
     if not l1 + l3 + l4 >= 0.0:
         return _decided(Verdict.NOT_REALIZABLE, None, Reason.MN_VIOLATED, det)
@@ -176,7 +178,7 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
         return _decided(Verdict.REALIZABLE, Certificate.SULEIMANOVA, None, det)
     if l3 <= 0.0:
         return _decided(Verdict.REALIZABLE, Certificate.TWO_POSITIVE, None, det)
-    if l3 <= s.elem_syms.e1:
+    if l3 <= e1:
         return _decided(Verdict.REALIZABLE, Certificate.DIRECT_SUM, None, det)
 
     # past here lam3 > e1 >= 0, so the boundary exclusion applies
@@ -217,8 +219,8 @@ def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | 
 
 def is_trace_zero(s: SortedSpectrum) -> bool:
     """The sum is zero up to 1e-12 * max|lam_i|."""
-    l1, _, _, _, l5 = s.values  # max|lam_i| of descending entries is at an end
-    return abs(s.elem_syms.e1) <= TRACE_ZERO_TOL * max(l1, -l5)
+    l1, l2, l3, l4, l5 = s.values  # max|lam_i| of descending entries is at an end
+    return abs(_trace(l1, l2, l3, l4, l5)) <= TRACE_ZERO_TOL * max(l1, -l5)
 
 
 def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:

@@ -16,8 +16,13 @@ hand-written ``__init__``.  It computes e1..e5 (and a sorted one u/v/w/r)
 on first read and stores them in its instance dict with
 ``object.__setattr__``, so it is not slotted.  The expansion is written
 out factor by factor, so each e_k comes out bit-identical to the loop
-``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.  ``ElemSyms`` and ``PatternAScalars`` are
-``NamedTuple``s and so compare equal to plain tuples.  They are built with
+``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.
+``_trace`` gives e1 alone with those bits, from the same sums and none of
+the products; the rules that read only the lam and e1 (the trace, direct
+sum and zero-sum tests) read it, and store nothing.
+
+``ElemSyms`` and ``PatternAScalars`` are ``NamedTuple``s and so compare
+equal to plain tuples.  They are built with
 ``tuple.__new__(cls, values)``, which gives the same value without the
 Python-level ``__new__`` that ``NamedTuple`` generates.
 """
@@ -86,6 +91,12 @@ def _expand(a: float, b: float, c: float, d: float, e: float) -> ElemSyms:
         (0.0 - s3 * e) + s4,
         -(0.0 - s4 * e),
     ))
+
+
+def _trace(a: float, b: float, c: float, d: float, e: float) -> float:
+    """e1 of a, b, c, d, e (descending) with ``_expand``'s bits, signed zeros
+    included: the same sums in the same order, and none of the products."""
+    return -((0.0 - e) + ((0.0 - d) + ((0.0 - c) + ((0.0 - b) + (0.0 - a)))))
 
 
 @dataclass(frozen=True, init=False)

@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -18,8 +22,9 @@ from hypothesis import strategies as st
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
-from sniep5.spectrum import _region
+from sniep5.spectrum import _expand, _region, _trace, _unit_scale
 from support import bytes_each, draw_box_point, poly_from_roots, sample_until
+from test_cli import DIRECT_SUM, MN, SULEIMANOVA, TRACE, TWO_POSITIVE
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 EX2 = sn.SortedSpectrum((1000.0, 370.0, 367.0, -637.0, -750.0))
@@ -716,6 +721,99 @@ def test_typed_stream_answers_are_byte_identical():
         for text, p in _typed_stream(20181, 6000):
             h.update(_answer_bytes(text, p))
     assert h.hexdigest() == _STREAM_DIGEST
+
+
+def _trace_inputs():
+    """Descending lists on which ``_trace`` must give ``_expand``'s e1."""
+    yield (0.0,) * 5
+    yield (-0.0,) * 5
+    yield (0.0, -0.0, 0.0, -0.0, 0.0)
+    yield (-0.0, 0.0, -0.0, 0.0, -0.0)
+    yield (0.0, 0.0, 0.0, -0.0, -0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        for row in sn.sample_region(24, [0.0, 0.1, 0.35]):
+            yield (1.0, row.lambda2, row.lambda3, row.lambda4, row.lambda5)
+    for text, _ in _typed_stream(20181, 6000):
+        yield sn.sort_descending(sn.parse_spectrum(text)).values
+    # lam1 >= 2**1022: classify reads e1 at unit scale
+    for vals in ((1e308, 0.9e308, 0.8e308, -0.95e308, -1e308),
+                 tuple(1e308 * x for x in UNKNOWN_GOLDEN.values),
+                 (2.0 ** 1022, 0.0, -0.0, -1e300, -2.0 ** 1022)):
+        yield _unit_scale(sn.SortedSpectrum(vals))[0].values
+
+
+def test_trace_gives_the_bits_of_the_expansion():
+    want = [(_expand(*v).e1.hex(), _trace(*v).hex()) for v in _trace_inputs()]
+    assert len(want) == 5 + 18_290 + 6000 + 3
+    assert all(a == b for a, b in want), [p for p in want if p[0] != p[1]][:5]
+    # both signed zeros survive: an all-zero list of either sign has e1 = -0.0
+    assert _trace(*(0.0,) * 5).hex() == _trace(*(-0.0,) * 5).hex() == "-0x0.0p+0"
+
+
+def test_trace_overflows_as_the_expansion_does():
+    # the caller-scale sum overflows; is_trace_zero reads that inf
+    s = sn.SortedSpectrum((1e308, 0.9e308, 0.8e308, -0.95e308, -1e308))
+    assert _trace(*s.values) == _expand(*s.values).e1 == math.inf
+    assert not is_trace_zero(s)
+    assert "elem_syms" not in vars(s)
+
+
+_EARLY = [
+    (TRACE, Reason.TRACE_VIOLATED),
+    (MN, Reason.MN_VIOLATED),
+    (SULEIMANOVA, Certificate.SULEIMANOVA),
+    (TWO_POSITIVE, Certificate.TWO_POSITIVE),
+    (DIRECT_SUM, Certificate.DIRECT_SUM),
+]
+
+
+@pytest.mark.parametrize("text,tag", _EARLY)
+def test_early_decisions_store_nothing_on_the_spectrum(text, tag):
+    vals = tuple(map(float, text.split(",")))
+    s = sn.SortedSpectrum(vals)
+    d = sn.classify(s)
+    assert d.certificate is tag or d.reason is tag
+    assert "elem_syms" not in vars(s) and "uvwr" not in vars(s)
+    # details read later expand then, with the eager bits
+    eager = sn.SortedSpectrum(vals)
+    eager.uvwr
+    got = d.details.to_json_dict()
+    assert got["e1"].hex() == _expand(*vals).e1.hex()
+    assert [x.hex() for x in got.values()] == [
+        x.hex() for x in sn.DecisionDetails(eager).to_json_dict().values()]
+    # a kept decision with its spectrum is the bare spectrum plus the
+    # decision and its details; storing e1..e5 added about 216 B
+    kept = bytes_each(lambda: sn.classify(sn.SortedSpectrum(vals)))
+    bare = bytes_each(lambda: sn.SortedSpectrum(vals))
+    decision = bytes_each(lambda: sn.classify(s))
+    assert kept <= bare + decision + 8, (kept, bare, decision)
+
+
+_KEPT_BYTES = """
+import sniep5 as sn
+from support import bytes_each
+for text in {texts!r}:
+    vals = tuple(map(float, text.split(",")))
+    print(bytes_each(lambda: sn.classify(sn.SortedSpectrum(vals))))
+"""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the byte count is CPython 3.11's object layout")
+def test_an_early_decision_with_its_spectrum_costs_at_most_280_bytes():
+    # a fresh interpreter: CPython 3.11 gives each instance a slot for every
+    # attribute any instance of its class has stored, 8 B per name, so a
+    # process that has stored elem_syms and uvwr keeps 16 B more per
+    # spectrum.  272 B fresh; 488 B with e1..e5 stored by the trace rule
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(tests.parent / "src"), str(tests))))
+    code = _KEPT_BYTES.format(texts=[text for text, _ in _EARLY])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    kept = [float(x) for x in out.split()]
+    assert len(kept) == len(_EARLY) and max(kept) <= 280, kept
 
 
 def test_classify_refuses_an_unsorted_spectrum():
