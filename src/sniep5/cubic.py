@@ -129,7 +129,13 @@ def _polish(c3, c2, c1, c0, x):
 
 
 def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
-    """All distinct real roots of c3*z^3 + c2*z^2 + c1*z + c0, ascending."""
+    """All distinct real roots of c3*z^3 + c2*z^2 + c1*z + c0, ascending.
+
+    Not scale-equivariant: the merge and residual tolerances are absolute,
+    so solving Q of 2**k times a list can return a root one ulp away from
+    2**k times the root of the unit-scale list.  ``find_g``, ``classify``
+    and ``sniep5 qroots`` therefore solve only at unit scale.
+    """
     if c3 == 0.0:
         raise DegenerateLeadingCoefficient("leading cubic coefficient is zero")
 

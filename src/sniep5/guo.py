@@ -31,6 +31,7 @@ from .classify import (
     RealizabilityDecision,
     Verdict,
     _decided,
+    _new,
     classify,
     classify_trace_zero,
     realize,
@@ -44,31 +45,33 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Perturbation:
     """Move lam1 up by s and lam_i (1-based index, 2..5) by +/- s; s is
-    finite and positive."""
+    finite and positive.  The index is checked first, then the sign, then
+    the size."""
 
     i: int
     sign: Sign
     s: float
 
-    def __post_init__(self):
+    def __init__(self, i, sign, s):
         try:
-            i = operator.index(self.i)  # an int or numpy integer, not 2.0
+            index = operator.index(i)  # an int or numpy integer, not 2.0
         except TypeError:
-            i = None
-        if i not in (2, 3, 4, 5):
-            raise ValueError(f"index must be one of 2..5, got {self.i}")
-        object.__setattr__(self, "i", i)
-        sign = self.sign if isinstance(self.sign, Sign) else Sign(self.sign)
-        object.__setattr__(self, "sign", sign)
-        s = float(self.s)
+            index = None
+        if index not in (2, 3, 4, 5):
+            raise ValueError(f"index must be one of 2..5, got {i}")
+        if not isinstance(sign, Sign):
+            sign = Sign(sign)
+        s = float(s)
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError(
                 f"perturbation size must be finite and positive, got {s}"
             )
-        object.__setattr__(self, "s", s)
+        _set_i(self, index)
+        _set_sign(self, sign)
+        _set_s(self, s)
 
 
 class ClosureRule(enum.Enum):
@@ -107,13 +110,33 @@ class PerturbedDecision:
         return out
 
 
+# slot setters, bound once; each gets past the frozen __setattr__
+_set_i = Perturbation.i.__set__
+_set_sign = Perturbation.sign.__set__
+_set_s = Perturbation.s.__set__
+_set_decision = PerturbedDecision.decision.__set__
+_set_rule = PerturbedDecision.rule.__set__
+_set_perturbed = PerturbedDecision.perturbed.__set__
+_set_matrix = PerturbedDecision.matrix.__set__
+
+# the members that function bodies read, bound once (see classify.py)
+_PLUS = Sign.PLUS
+_MINUS = Sign.MINUS
+_KNOWN_REGION = ClosureRule.KNOWN_REGION
+_DIRECT = ClosureRule.DIRECT
+_REALIZABLE = Verdict.REALIZABLE
+_GUO_CLOSURE = Certificate.GUO_CLOSURE
+
+
 def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
     if not isinstance(s, SortedSpectrum):
         raise _unsorted(s)
     vals = list(s.values)
+    i = p.i - 1
     vals[0] += p.s
-    vals[p.i - 1] += p.s if p.sign is Sign.PLUS else -p.s
-    if not all(map(math.isfinite, vals)):
+    vals[i] += p.s if p.sign is _PLUS else -p.s
+    # only the two moved entries can overflow: a SortedSpectrum's are finite
+    if not (math.isfinite(vals[0]) and math.isfinite(vals[i])):
         raise InvalidSpectrum(f"non-finite entry in {tuple(vals)}")
     vals.sort(reverse=True)
     return _checked_sorted(tuple(vals))
@@ -123,16 +146,19 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
     """Decide realizability of the perturbed spectrum; the closure rule is
     read from one decision of the original list."""
     perturbed = apply_perturbation(s, p)
-    minus = p.sign is Sign.MINUS
+    minus = p.sign is _MINUS
     rule = _CLOSURES.get((classify_trace_zero if minus else classify)(s).certificate)
-    if not minus and rule is not ClosureRule.KNOWN_REGION:
+    if not minus and rule is not _KNOWN_REGION:
         rule = None
 
     direct = classify(perturbed)
-    matrix = realize(perturbed, direct)
+    out = _new(PerturbedDecision)
     if rule is None:
-        return PerturbedDecision(direct, ClosureRule.DIRECT, perturbed, matrix)
-    decision = _decided(
-        Verdict.REALIZABLE, Certificate.GUO_CLOSURE, None, direct.details
-    )
-    return PerturbedDecision(decision, rule, perturbed, matrix)
+        _set_decision(out, direct)
+        _set_rule(out, _DIRECT)
+    else:
+        _set_decision(out, _decided(_REALIZABLE, _GUO_CLOSURE, None, direct.details))
+        _set_rule(out, rule)
+    _set_perturbed(out, perturbed)
+    _set_matrix(out, realize(perturbed, direct))
+    return out

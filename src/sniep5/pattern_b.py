@@ -18,7 +18,8 @@ five-cycle gate's region checks, in its order, then ``root_in_range``; the
 builder checks ``g_is_a_root`` and ``g_in_range`` and then the same region
 checks, and builds a report only to name the checks a call fails.  A g
 whose residual or residual bound overflows is not a root.  ``find_g``, the
-gate and the builder work at unit scale, then scale back.
+gate and the builder work at unit scale, then scale back; ``_unit_g`` is
+``find_g`` on a list that is at unit scale already, as ``classify``'s is.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def _q_coeffs(s: SortedSpectrum) -> tuple[float, float, float, float]:
 
 
 def q_poly(s: SortedSpectrum) -> CubicQ:
+    """Q of ``s`` at the list's own scale.
+
+    ``cubic.real_roots`` of these coefficients is not scale-equivariant, so
+    for 2**k times a list it can return a root one ulp away from 2**k times
+    the unit-scale root; ``find_g``, ``classify`` and ``sniep5 qroots``
+    solve Q only at unit scale.
+    """
     if not isinstance(s, SortedSpectrum):
         raise _unsorted(s)
     return CubicQ(*_q_coeffs(s))
@@ -117,14 +125,20 @@ def find_g(s: SortedSpectrum) -> float | None:
     answer is None with the same bits as the solve's.
     """
     unit, k = _unit_scale(s)
+    g = _unit_g(unit)
+    return g if g is None else math.ldexp(g, k)
+
+
+def _unit_g(unit: SortedSpectrum) -> float | None:
+    """``find_g`` of a list at unit scale, max(lam1, -lam5) in [1, 2), with
+    the root left at that scale."""
     half = 0.5 * unit.elem_syms.e1
     if half < 0.0:
         return None  # the interval is empty, so Q is not solved
     c = _q_coeffs(unit)
     if cubic._keeps_sign(*c, -RANGE_SLACK, half + RANGE_SLACK):
         return None
-    g = _admit(unit, cubic.real_roots(*c))
-    return g if g is None else math.ldexp(g, k)
+    return _admit(unit, cubic.real_roots(*c))
 
 
 def compute_klm(s: SortedSpectrum, g: float) -> tuple[float, float, float]:

@@ -251,11 +251,15 @@ def _unit_scale(s: SortedSpectrum) -> tuple[SortedSpectrum, int]:
     """
     if not isinstance(s, SortedSpectrum):
         raise _unsorted(s)
-    l1, _, _, _, l5 = values = s.values
+    l1, l2, l3, l4, l5 = s.values
     if 1.0 <= l1 < 2.0 and l5 > -2.0:
         return s, 0
     k = math.frexp(max(l1, -l5))[1] - 1
-    return (_checked_sorted(tuple(math.ldexp(x, -k) for x in values)) if k else s), k
+    if not k:
+        return s, 0
+    ldexp = math.ldexp
+    return _checked_sorted((ldexp(l1, -k), ldexp(l2, -k), ldexp(l3, -k),
+                            ldexp(l4, -k), ldexp(l5, -k))), k
 
 
 def _built_matrix(rows: tuple, provenance: str, k: int = 0) -> SymMatrix5:

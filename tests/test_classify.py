@@ -1,7 +1,9 @@
 """Decision procedure: rule order, certificates, reasons, trace-zero branch."""
 import copy
 import dataclasses
+import enum
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -823,3 +825,25 @@ def test_classify_refuses_an_unsorted_spectrum():
     with pytest.raises(TypeError, match="sort_descending"):
         sn.classify(s)
     assert sn.classify(sn.sort_descending(s)).certificate is Certificate.TWO_POSITIVE
+
+
+_ENUMS = (Verdict, Certificate, Reason, sn.Sign, sn.ClosureRule)
+
+
+@pytest.mark.parametrize("module,functions", [
+    ("sniep5.classify", ("classify", "realize", "classify_trace_zero")),
+    ("sniep5.guo", ("apply_perturbation", "decide_perturbed")),
+])
+def test_enum_aliases_are_the_members_they_name(module, functions):
+    # the package exports a function named classify, so look the module up
+    module = importlib.import_module(module)
+    aliases = {name: value for name, value in vars(module).items()
+               if isinstance(value, enum.Enum)}
+    assert aliases
+    for name, member in aliases.items():
+        assert name.startswith("_") and type(member)[name[1:]] is member, name
+    # the hot function bodies read members through the aliases, never through
+    # their enum class
+    for fn in functions:
+        names = getattr(module, fn).__code__.co_names
+        assert not {e.__name__ for e in _ENUMS} & set(names), fn

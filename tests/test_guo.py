@@ -1,6 +1,11 @@
 """Perturbation moves and the closure-based decision rules."""
+import dataclasses
+import hashlib
 import io
+import json
 import math
+import pickle
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -45,6 +50,61 @@ def test_perturbation_sign_coercion():
     assert p.sign is Sign.PLUS
     q = sn.Perturbation(i=4, sign=Sign.MINUS, s=2.0)
     assert q.sign is Sign.MINUS
+
+
+def test_perturbation_positional_and_keyword_construction_agree():
+    p = sn.Perturbation(3, "minus", 0.5)
+    assert p == sn.Perturbation(i=3, sign=Sign.MINUS, s=0.5)
+    assert p == sn.Perturbation(3, sign="minus", s=0.5)
+    assert p == sn.Perturbation(3, "minus", s=0.5)
+    assert (p.i, p.sign, p.s) == (3, Sign.MINUS, 0.5)
+    # an integer size is stored as a float, as float() gives it
+    q = sn.Perturbation(2, "plus", 1)
+    assert type(q.s) is float and q.s == 1.0
+    with pytest.raises(TypeError):
+        sn.Perturbation(3, "minus")
+    with pytest.raises(TypeError):
+        sn.Perturbation(3, "minus", 0.5, 1.0)
+
+
+def test_perturbation_is_a_frozen_value():
+    p = sn.Perturbation(3, "minus", 0.5)
+    assert repr(p) == "Perturbation(i=3, sign=<Sign.MINUS: 'minus'>, s=0.5)"
+    same = sn.Perturbation(i=np.int64(3), sign="minus", s=np.float64(0.5))
+    assert same == p and hash(same) == hash(p)
+    assert p != sn.Perturbation(3, "plus", 0.5)
+    assert p != sn.Perturbation(4, "minus", 0.5)
+    assert p != sn.Perturbation(3, "minus", 0.25)
+    assert len({p, same, sn.Perturbation(3, "plus", 0.5)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.s = 1.0
+    assert not hasattr(p, "__dict__")
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_perturbation_replace_runs_the_checks():
+    p = sn.Perturbation(3, "minus", 0.5)
+    q = dataclasses.replace(p, sign="plus", s=2)
+    assert q == sn.Perturbation(3, Sign.PLUS, 2.0) and q.sign is Sign.PLUS
+    assert dataclasses.replace(p) == p
+    with pytest.raises(ValueError, match=r"^index must be one of 2\.\.5, got 6$"):
+        dataclasses.replace(p, i=6)
+    with pytest.raises(ValueError, match=r"^perturbation size must be finite and "
+                                         r"positive, got -1\.0$"):
+        dataclasses.replace(p, s=-1.0)
+
+
+@pytest.mark.parametrize("args,message", [
+    # a bad index is reported first, then a bad sign, then a bad size
+    ((1, "sideways", 0.0), r"^index must be one of 2\.\.5, got 1$"),
+    ((2.0, "sideways", 0.0), r"^index must be one of 2\.\.5, got 2\.0$"),
+    ((2, "sideways", 0.0), r"^'sideways' is not a valid Sign$"),
+    ((2, "minus", 0.0), r"^perturbation size must be finite and positive, got 0\.0$"),
+    ((5, Sign.PLUS, -2), r"^perturbation size must be finite and positive, got -2\.0$"),
+])
+def test_perturbation_check_order_and_messages(args, message):
+    with pytest.raises(ValueError, match=message):
+        sn.Perturbation(*args)
 
 
 @pytest.mark.parametrize("size", ["inf", "-inf", "nan"])
@@ -308,3 +368,44 @@ def test_closure_rule_matches_gate_oracle():
                 seen.add(rule)
     assert seen == set(ClosureRule)
     assert on_face > 0
+
+
+
+def _typed_box(rng):
+    """A ``_corner_b`` point typed to four decimals."""
+    text = ",".join(f"{x:.4f}" for x in _corner_b(rng).values)
+    return sn.sort_descending(sn.parse_spectrum(text))
+
+
+# sha256 over the answers of the stream in the test below, recorded before the
+# perturbation records were filled slot by slot
+_PERTURBED_DIGEST = (
+    "9a914fb760501ae3437c172503d471d08f91d21853bbb9e84243e57434dec37f")
+
+
+def test_perturbed_answers_are_byte_identical():
+    # decide_perturbed on 4,000 typed lists (40% uniform, 40% zero-sum, 20% from
+    # suite 05's two-paths corner), the index running through 2..5 and the sign
+    # alternating every four lists, and on each list times 2**300 and 2**-300
+    # with its size scaled alike: each answer's repr, JSON and matrix bits
+    rng = np.random.default_rng(2024)
+    draws = (_typed, _typed, _typed_zero_sum, _typed_zero_sum, _typed_box)
+    h = hashlib.sha256()
+    rules = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        for j in range(4000):
+            s = draws[j % 5](rng)
+            i, sign = 2 + j % 4, ("plus", "minus")[j // 4 % 2]
+            size = int(rng.integers(1, 51)) / 100
+            for k in (0, 300, -300):
+                sk = sn.SortedSpectrum(tuple(math.ldexp(x, k) for x in s.values))
+                p = sn.Perturbation(i, sign, math.ldexp(size, k))
+                answer = sn.decide_perturbed(sk, p)
+                rules.add(answer.rule)
+                parts = [repr(p), repr(answer), json.dumps(answer.to_json_dict())]
+                if answer.matrix is not None:
+                    parts += [x.hex() for row in answer.matrix.entries for x in row]
+                h.update("\n".join(parts).encode() + b"\n\n")
+    assert rules == set(ClosureRule)
+    assert h.hexdigest() == _PERTURBED_DIGEST
