@@ -29,6 +29,12 @@ from .spectrum import SortedSpectrum, SymMatrix5, _trace, _unit_scale, _unsorted
 BOUNDARY_WARN_TOL = 1e-12
 TRACE_ZERO_TOL = 1e-12
 
+# the boundary warning's text, formatted once
+_BOUNDARY_MESSAGE = (
+    f"lam5 sits within {BOUNDARY_WARN_TOL:g}*lam1 of -lam1; the verdict "
+    "flips across that boundary"
+)
+
 
 class Verdict(enum.Enum):
     REALIZABLE = "realizable"
@@ -61,9 +67,10 @@ class DecisionDetails:
     ``e1`` is the spectrum's stored e1, ``u`` and ``r`` its stored five-cycle
     scalars, and ``mn_sum`` is lam1 + lam3 + lam4.  Nothing is computed until
     it is read.  ``classify``'s linear rules read e1 from ``_trace``, with the
-    expansion's bits, so it expands e1..e5 and u/v/w/r only for a spectrum
-    that reaches the pattern stage; a detail read later expands them then,
-    with the same bits.  Two details compare equal when their spectra do.
+    expansion's bits, so it expands e1..e5, and the pair u, r (``_ur``), only
+    for a spectrum that reaches the pattern stage; a detail read later
+    expands them then, and v and w with them, with the same bits.  Two
+    details compare equal when their spectra do.
     """
 
     spectrum: SortedSpectrum
@@ -201,12 +208,7 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
 
     # past here lam3 > e1 >= 0, so the boundary exclusion applies
     if l1 > 0.0 and abs(l5 + l1) <= BOUNDARY_WARN_TOL * l1:
-        warnings.warn(
-            f"lam5 sits within {BOUNDARY_WARN_TOL:g}*lam1 of -lam1; the verdict "
-            "flips across that boundary",
-            BoundaryProximityWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_BOUNDARY_MESSAGE, BoundaryProximityWarning, stacklevel=2)
     if l5 == -l1:
         return _decided(_NOT_REALIZABLE, None, _NEGATED_PERRON_BOUNDARY, det)
 
@@ -216,7 +218,7 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
     # lam5 > -lam1, a list whose lam1 is in [1, 2) is at unit scale already
     if not 1.0 <= l1 < 2.0:
         s, k = _unit_scale(s)
-    if s.uvwr.r >= 0.0:
+    if s._ur[1] >= 0.0:  # r; v and w wait for the builder
         return _decided(_REALIZABLE, _PATTERN_A, None, det)
     g = _unit_g(s)
     if g is not None:

@@ -37,7 +37,7 @@ from .classify import (
     realize,
 )
 from .errors import InvalidSpectrum
-from .spectrum import SortedSpectrum, SymMatrix5, _checked_sorted, _unsorted
+from .spectrum import _TEXT, SortedSpectrum, SymMatrix5, _checked_sorted, _unsorted
 
 
 class Sign(enum.Enum):
@@ -48,8 +48,9 @@ class Sign(enum.Enum):
 @dataclass(frozen=True, slots=True, init=False)
 class Perturbation:
     """Move lam1 up by s and lam_i (1-based index, 2..5) by +/- s; s is
-    finite and positive.  The index is checked first, then the sign, then
-    the size."""
+    finite and positive, and not text.  The index is checked first, then the
+    sign, then the size; a refused text index or text size is named by its
+    repr."""
 
     i: int
     sign: Sign
@@ -61,9 +62,12 @@ class Perturbation:
         except TypeError:
             index = None
         if index not in (2, 3, 4, 5):
-            raise ValueError(f"index must be one of 2..5, got {i}")
+            shown = repr(i) if isinstance(i, _TEXT) else i
+            raise ValueError(f"index must be one of 2..5, got {shown}")
         if not isinstance(sign, Sign):
             sign = Sign(sign)
+        if isinstance(s, _TEXT):
+            raise ValueError(f"perturbation size {s!r} is text, not a number")
         s = float(s)
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError(

@@ -15,6 +15,12 @@ homogeneous of degree 1), where v, of degree 6, cannot overflow.  The
 gate and the builder decide the same four bools, the shared region checks
 then r >= 0, under one names tuple; the builder builds a report only to
 name the checks a failing list fails.
+
+u and r serve the pattern stage: the gate, like ``classify``, reads r from
+the stored pair ``SortedSpectrum._ur``, the same bits as ``uvwr``'s u and
+r.  v and w are computed for the builder: only the builder
+(:func:`build_pattern_a`, :func:`pattern_a_entries`), :func:`compute_uvwr`
+and a read of a decision's details read ``uvwr``.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ def pattern_a_conditions(s: SortedSpectrum) -> ConditionReport:
     is well defined and the result is nonnegative.
     """
     s = _unit_scale(s)[0]
-    return ConditionReport(tuple(zip(_GATE, (*_region(s), s.uvwr.r >= 0.0))))
+    return ConditionReport(tuple(zip(_GATE, (*_region(s), s._ur[1] >= 0.0))))
 
 
 def pattern_a_entries(s: SortedSpectrum) -> tuple[tuple[float, ...], ...]:

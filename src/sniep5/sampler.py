@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .classify import RealizabilityDecision, Verdict, classify
+from .classify import Certificate, RealizabilityDecision, Reason, Verdict, classify
 from .errors import EmptyGrid
 from .spectrum import _checked_sorted
 
@@ -58,12 +58,15 @@ class RegionSample(NamedTuple):
         return ",".join(cells)
 
 
+# each certificate and reason to its text, and None (an unknown verdict) to
+# "": a dict hit costs a fraction of Enum's value property
+_TAGS = {None: "", **{m: m.value for m in (*Certificate, *Reason)}}
+
+
 def decision_tag(decision: RealizabilityDecision) -> str:
-    if decision.certificate is not None:
-        return decision.certificate.value
-    if decision.reason is not None:
-        return decision.reason.value
-    return ""
+    # a decision carries a certificate or a reason, never both, and members
+    # are true, so `or` picks whichever is set
+    return _TAGS[decision.certificate or decision.reason]
 
 
 def sample_region(grid_n: int, t_values: Iterable[float]) -> Iterator[RegionSample]:
@@ -92,10 +95,10 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                 ymax = min(x, -x + 2.0 * d + 1.0 - t)
                 if ymax <= t:
                     continue
+                lam5 = t - d - 1.0
                 for ll in range(1, n + 1):
                     y = t + (ymax - t) * ll / n
                     lam4 = d - x - y
-                    lam5 = t - d - 1.0
                     # SortedSpectrum's order check; grid values are finite
                     # floats, so _checked_sorted needs no second pass
                     if not 1.0 >= x >= y >= lam4 >= lam5 >= -1.0:
@@ -109,7 +112,9 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                         # they are dropped before they are classified
                         continue
                     decision = classify(s)
-                    u, _, _, r = s.uvwr
+                    # u and r only: the sweep builds no matrix, so v and w
+                    # are never computed
+                    u, r = s._ur
                     yield tuple.__new__(RegionSample, (
                         x, y, lam4, lam5, e1, u, r, decision.g,
                         decision.verdict, decision_tag(decision),

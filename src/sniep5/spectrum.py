@@ -5,21 +5,24 @@ eigenvalues of a symmetric entrywise-nonnegative 5x5 matrix.  This module
 holds the plain containers (:class:`Spectrum`, :class:`SortedSpectrum`,
 :class:`ElemSyms`, :class:`PatternAScalars`, :class:`SymMatrix5`,
 :class:`ConditionReport`), the elementary symmetric polynomials and the
-five-cycle scalars u/v/w/r.  It also holds, once, what both pattern modules
-share: the region checks (``_region``, named by ``_REGION_NAMES``), the
-failure naming of a builder (``_require``), the step to unit scale
-(``_unit_scale``, which refuses an unsorted list) and the scale-back of the
-built rows (``_built_matrix``).
+five-cycle scalars u/v/w/r: u and r serve the pattern stage, and v and w
+are computed for the five-cycle builder.  It also holds, once, what both
+pattern modules share: the region checks (``_region``, named by
+``_REGION_NAMES``), the failure naming of a builder (``_require``), the
+step to unit scale (``_unit_scale``, which refuses an unsorted list) and
+the scale-back of the built rows (``_built_matrix``).
 
 ``Spectrum`` converts, checks and stores its values in one step, in a
-hand-written ``__init__``.  It computes e1..e5 (and a sorted one u/v/w/r)
-on first read and stores them in its instance dict with
-``object.__setattr__``, so it is not slotted.  The expansion is written
-out factor by factor, so each e_k comes out bit-identical to the loop
-``nxt[i] += c; nxt[i + 1] -= c * lam`` over the descending entries.
-``_trace`` gives e1 alone with those bits, from the same sums and none of
-the products; the rules that read only the lam and e1 (the trace, direct
-sum and zero-sum tests) read it, and store nothing.
+hand-written ``__init__``.  It computes e1..e5 on first read, and a sorted
+one the pair u, r (``_ur``) and the four scalars u/v/w/r (``uvwr``); each
+is stored in the instance dict with ``object.__setattr__``, so it is not
+slotted.  ``classify``, the five-cycle gate and the region sweep read
+``_ur`` alone, so a list that is never built skips v and w.  The
+expansion is written out factor by factor, so each e_k comes out
+bit-identical to the loop ``nxt[i] += c; nxt[i + 1] -= c * lam`` over the
+descending entries.  ``_trace`` gives e1 alone with those bits, from the
+same sums and none of the products; the rules that read only the lam and
+e1 (the trace, direct sum and zero-sum tests) read it, and store nothing.
 
 ``ElemSyms`` and ``PatternAScalars`` are ``NamedTuple``s and so compare
 equal to plain tuples.  They are built with
@@ -167,16 +170,26 @@ class SortedSpectrum(Spectrum):
         return _expand(*self.values)
 
     @_stored
-    def uvwr(self) -> PatternAScalars:
-        """The five-cycle scalars u, v, w, r, stored on first read."""
-        l1, l2, l3, l4, l5 = self.values
+    def _ur(self) -> tuple[float, float]:
+        """The five-cycle scalars u and r, the two the pattern stage reads,
+        stored on first read as a plain pair."""
+        _, l2, _, _, l5 = self.values
         e1, e2, e3, _, _ = self.elem_syms
-        u = -e2 - l2 * l2 - l5 * l5
+        return -e2 - l2 * l2 - l5 * l5, e3 + e1 * (l2 * l2 + l5 * l5)
+
+    @_stored
+    def uvwr(self) -> PatternAScalars:
+        """The five-cycle scalars u, v, w, r, stored on first read.
+
+        u and r come from ``_ur`` with its bits; v and w, computed for the
+        five-cycle builder, are computed here alone.
+        """
+        l1, l2, l3, l4, l5 = self.values
+        u, r = self._ur
         v = -(
             (l3 + l5) * (l4 + l5) * (l2 + l4) * (l2 + l3) * (l1 + l2) * (l1 + l5)
         )
-        w = l2 * l5 * e1 - l1 * l3 * l4
-        r = e3 + e1 * (l2 * l2 + l5 * l5)
+        w = l2 * l5 * self.elem_syms.e1 - l1 * l3 * l4
         return tuple.__new__(PatternAScalars, (u, v, w, r))
 
 

@@ -25,7 +25,7 @@ import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
 from sniep5.classify import _decided, is_trace_zero
 from sniep5.spectrum import _expand, _region, _trace, _unit_scale
-from support import bytes_each, draw_box_point, poly_from_roots, sample_until
+from support import bytes_each, draw_box_point, hex_bits, poly_from_roots, sample_until
 from test_cli import DIRECT_SUM, MN, SULEIMANOVA, TRACE, TWO_POSITIVE
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
@@ -391,22 +391,43 @@ def test_enum_values_stable():
     assert Reason.NEGATED_PERRON_BOUNDARY.value == "negated_perron_boundary"
 
 
-@pytest.mark.parametrize("vals,tag,absent", [
-    ((1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED, ("elem_syms", "uvwr")),
-    ((-1.0, -2.0, -3.0, -4.0, -5.0), Reason.PF_VIOLATED, ("elem_syms", "uvwr")),
-    ((1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED, ("uvwr",)),
-    ((1.0, 0.9, 0.3, -0.5, -0.6), Certificate.DIRECT_SUM, ("uvwr",)),
+_PATTERN_STAGE = ("elem_syms", "_ur")
+
+
+@pytest.mark.parametrize("vals,tag,absent,present", [
+    ((1.0, 0.0, 0.0, -0.5, -1.5), Reason.PF_VIOLATED,
+     ("elem_syms", "_ur", "uvwr"), ()),
+    ((-1.0, -2.0, -3.0, -4.0, -5.0), Reason.PF_VIOLATED,
+     ("elem_syms", "_ur", "uvwr"), ()),
+    ((1.0, 0.0, -0.5, -0.5, -0.5), Reason.TRACE_VIOLATED, ("_ur", "uvwr"), ()),
+    ((1.0, 0.9, 0.3, -0.5, -0.6), Certificate.DIRECT_SUM, ("_ur", "uvwr"), ()),
+    # the pattern stage reads r from the pair u, r; v and w wait for a build
+    # (these lists have lam1 in [1, 2), so classify stores on the list itself)
+    ((1.0, 0.381, 0.36, -0.641, -0.75), Certificate.PATTERN_A,
+     ("uvwr",), _PATTERN_STAGE),
+    ((1.0, 0.37, 0.367, -0.637, -0.75), Certificate.PATTERN_B,
+     ("uvwr",), _PATTERN_STAGE),
+    ((1.0, 0.415, 0.3565, -0.6815, -0.74), None, ("uvwr",), _PATTERN_STAGE),
 ])
-def test_classify_computes_only_what_the_verdict_reads(vals, tag, absent):
+def test_classify_computes_only_what_the_verdict_reads(vals, tag, absent, present):
     s = sn.sort_descending(sn.Spectrum(vals[::-1]))
     d = sn.classify(s)
-    assert tag in (d.reason, d.certificate)
+    assert (d.reason or d.certificate) is tag
     assert d.details.spectrum is s
     for name in absent:
-        assert name not in s.__dict__
+        assert name not in vars(s)
+    for name in present:
+        assert name in vars(s)
     # reading the details computes them then, once, onto the spectrum
     d.details.to_json_dict()
     assert "elem_syms" in s.__dict__ and "uvwr" in s.__dict__
+    # on a twin classified the same way, a later compute_uvwr gives the
+    # eager bits, v and w included
+    twin = sn.sort_descending(sn.Spectrum(vals[::-1]))
+    sn.classify(twin)
+    assert "uvwr" not in vars(twin)
+    eager = sn.SortedSpectrum(vals).uvwr
+    assert hex_bits(sn.compute_uvwr(twin)) == hex_bits(eager)
 
 
 def test_details_compare_by_spectrum():

@@ -182,6 +182,15 @@ def test_keeps_sign_true_only_without_a_root_in_the_window():
     assert decided > 1000
 
 
+@pytest.mark.parametrize("i", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_keeps_sign_false_on_any_non_finite_input(i, bad):
+    args = [2.0, 0.0, 0.0, 1.0, 0.0, 0.5]
+    assert cubic._keeps_sign(*args)
+    args[i] = bad
+    assert cubic._keeps_sign(*args) is False
+
+
 def test_degenerate_leading_coefficient():
     with pytest.raises(sn.DegenerateLeadingCoefficient):
         cubic.real_roots(0.0, 1.0, 2.0, 3.0)

@@ -107,6 +107,27 @@ def test_perturbation_check_order_and_messages(args, message):
         sn.Perturbation(*args)
 
 
+@pytest.mark.parametrize("args,message", [
+    # a refused index is named by its repr: "3" is not the allowed 3
+    (("3", "minus", 1.0), r"^index must be one of 2\.\.5, got '3'$"),
+    ((b"3", "minus", 1.0), r"^index must be one of 2\.\.5, got b'3'$"),
+    # any other refused index keeps its str: 7, not np.int64(7)
+    ((np.int64(7), "minus", 1.0), r"^index must be one of 2\.\.5, got 7$"),
+    ((7.5, "minus", 1.0), r"^index must be one of 2\.\.5, got 7\.5$"),
+    # a size given as text is refused, as Spectrum refuses text
+    ((2, "minus", "0.5"), r"^perturbation size '0\.5' is text, not a number$"),
+    ((2, "minus", b"0.5"), r"^perturbation size b'0\.5' is text, not a number$"),
+    ((2, "minus", bytearray(b"0.5")),
+     r"^perturbation size bytearray\(b'0\.5'\) is text, not a number$"),
+    # the order stays index, sign, size
+    (("3", "sideways", "0.5"), r"^index must be one of 2\.\.5, got '3'$"),
+    ((3, "sideways", "0.5"), r"^'sideways' is not a valid Sign$"),
+])
+def test_perturbation_names_a_text_index_or_size_by_repr(args, message):
+    with pytest.raises(ValueError, match=message):
+        sn.Perturbation(*args)
+
+
 @pytest.mark.parametrize("size", ["inf", "-inf", "nan"])
 def test_perturbation_refuses_a_non_finite_size(size):
     with pytest.raises(ValueError, match=f"perturbation size .*got {size}$"):

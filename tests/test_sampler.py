@@ -1,4 +1,5 @@
 """Deterministic region sweep: grid walk, filters, CSV rows."""
+import hashlib
 import math
 import warnings
 
@@ -134,6 +135,34 @@ def test_region_sample_is_a_tuple_in_csv_column_order():
         assert row == tuple(row)
         assert row.csv_row().split(",")[:7] == [f"{x:.12g}" for x in row[:7]]
     assert sn.RegionSample(*rows[0]) == rows[0]
+
+
+def test_24_grid_row_bits_digest():
+    # every float field's float.hex, the verdict value and the tag of every
+    # row: the CSV's 12 significant digits cannot see a last-bit change in u
+    # or r; recorded before u and r were read apart from v and w
+    h = hashlib.sha256()
+    n = 0
+    for row in _collect(24, [0.0, 0.1, 0.35]):
+        cells = [x.hex() for x in row[:7]]
+        cells.append("" if row.g is None else row.g.hex())
+        cells.append(row.verdict.value)
+        cells.append(row.tag)
+        h.update((",".join(cells) + "\n").encode())
+        n += 1
+    assert n == 18_290
+    assert h.hexdigest() == (
+        "80ac939e6bb81d562275a4ada367edbcdae606cea660ea462b98b904f88eefa7")
+
+
+def test_decision_tag_of_every_member():
+    for c in sn.Certificate:
+        d = sn.RealizabilityDecision(Verdict.REALIZABLE, certificate=c)
+        assert sn.decision_tag(d) == c.value
+    for r in sn.Reason:
+        d = sn.RealizabilityDecision(Verdict.NOT_REALIZABLE, reason=r)
+        assert sn.decision_tag(d) == r.value
+    assert sn.decision_tag(sn.RealizabilityDecision(Verdict.UNKNOWN)) == ""
 
 
 def test_decision_tag():
