@@ -4,7 +4,8 @@
 necessary conditions first, then the regions where realizability is known
 outright, then the boundary exclusion, and finally the two explicit matrix
 patterns.  Spectra surviving every rule are Unknown: undecided by this
-toolbox, not proven unrealizable.
+toolbox, not proven unrealizable.  The rule list (``_rules``) returns a
+plain outcome, from which ``_decided`` alone builds every decision record.
 
 ``classify_trace_zero`` answers the zero-sum face exactly: with the sum
 zero and lam5 >= -lam1, realizability holds precisely when the cube sum,
@@ -65,12 +66,9 @@ class DecisionDetails:
     """The numbers behind a decision, read from the decided spectrum on demand.
 
     ``e1`` is the spectrum's stored e1, ``u`` and ``r`` its stored five-cycle
-    scalars, and ``mn_sum`` is lam1 + lam3 + lam4.  Nothing is computed until
-    it is read.  ``classify``'s linear rules read e1 from ``_trace``, with the
-    expansion's bits, so it expands e1..e5, and the pair u, r (``_ur``), only
-    for a spectrum that reaches the pattern stage; a detail read later
-    expands them then, and v and w with them, with the same bits.  Two
-    details compare equal when their spectra do.
+    pair (``_ur``), and ``mn_sum`` is lam1 + lam3 + lam4.  Nothing is
+    computed until it is read, and v and w never are.  Two details compare
+    equal when their spectra do.
     """
 
     spectrum: SortedSpectrum
@@ -81,11 +79,11 @@ class DecisionDetails:
 
     @property
     def r(self) -> float:
-        return self.spectrum.uvwr.r
+        return self.spectrum._ur[1]
 
     @property
     def u(self) -> float:
-        return self.spectrum.uvwr.u
+        return self.spectrum._ur[0]
 
     @property
     def mn_sum(self) -> float:
@@ -134,38 +132,38 @@ _set_reason = RealizabilityDecision.reason.__set__
 _set_g = RealizabilityDecision.g.__set__
 _set_details = RealizabilityDecision.details.__set__
 
-# the members that function bodies read, bound once: on CPython 3.11 EnumType
-# defines __getattr__, so a read through the class (Verdict.REALIZABLE) costs
-# about 100 ns, against under 10 ns for a module global
-_REALIZABLE = Verdict.REALIZABLE
-_NOT_REALIZABLE = Verdict.NOT_REALIZABLE
-_UNKNOWN = Verdict.UNKNOWN
+# the members and outcomes that function bodies read, bound once: on CPython
+# 3.11 EnumType defines __getattr__, so a read through the class
+# (Verdict.REALIZABLE) costs about 100 ns, against under 10 ns for a module
+# global; an outcome is a (verdict, certificate, reason) triple
 _PATTERN_A = Certificate.PATTERN_A
 _PATTERN_B = Certificate.PATTERN_B
-_DIRECT_SUM = Certificate.DIRECT_SUM
-_SULEIMANOVA = Certificate.SULEIMANOVA
-_TWO_POSITIVE = Certificate.TWO_POSITIVE
-_TRACE_ZERO = Certificate.TRACE_ZERO
-_PF_VIOLATED = Reason.PF_VIOLATED
-_TRACE_VIOLATED = Reason.TRACE_VIOLATED
-_MN_VIOLATED = Reason.MN_VIOLATED
-_NEGATED_PERRON_BOUNDARY = Reason.NEGATED_PERRON_BOUNDARY
-_TRACE_ZERO_VIOLATED = Reason.TRACE_ZERO_VIOLATED
+_IS_PF_VIOLATED = (Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED)
+_IS_TRACE_VIOLATED = (Verdict.NOT_REALIZABLE, None, Reason.TRACE_VIOLATED)
+_IS_MN_VIOLATED = (Verdict.NOT_REALIZABLE, None, Reason.MN_VIOLATED)
+_IS_NEGATED_PERRON_BOUNDARY = (
+    Verdict.NOT_REALIZABLE, None, Reason.NEGATED_PERRON_BOUNDARY)
+_IS_TRACE_ZERO_VIOLATED = (Verdict.NOT_REALIZABLE, None, Reason.TRACE_ZERO_VIOLATED)
+_IS_SULEIMANOVA = (Verdict.REALIZABLE, Certificate.SULEIMANOVA, None)
+_IS_TWO_POSITIVE = (Verdict.REALIZABLE, Certificate.TWO_POSITIVE, None)
+_IS_DIRECT_SUM = (Verdict.REALIZABLE, Certificate.DIRECT_SUM, None)
+_IS_PATTERN_A = (Verdict.REALIZABLE, Certificate.PATTERN_A, None)
+_IS_PATTERN_B = (Verdict.REALIZABLE, Certificate.PATTERN_B, None)
+_IS_TRACE_ZERO = (Verdict.REALIZABLE, Certificate.TRACE_ZERO, None)
+_IS_GUO_CLOSURE = (Verdict.REALIZABLE, Certificate.GUO_CLOSURE, None)
+_IS_UNKNOWN = (Verdict.UNKNOWN, None, None)
 
 
-def _decided(
-    verdict: Verdict,
-    certificate: Certificate | None,
-    reason: Reason | None,
-    det: DecisionDetails,
-    g: float | None = None,
-) -> RealizabilityDecision:
-    """A ``RealizabilityDecision`` built without the frozen-dataclass init.
+def _decided(outcome: tuple, s: SortedSpectrum,
+             g: float | None = None) -> RealizabilityDecision:
+    """The decision of ``outcome`` on ``s``, built past the frozen-dataclass init.
 
-    Only for the literal (verdict, certificate, reason) combinations in this
-    package, each of which passes ``__post_init__``.  Each slot is filled
-    by its own setter, bound once at import, in declaration order.
+    Only for the outcome triples above, each of which passes ``__post_init__``;
+    each slot is filled by its own setter, bound once at import.
     """
+    det = _new(DecisionDetails)
+    _set_spectrum(det, s)
+    verdict, certificate, reason = outcome
     out = _new(RealizabilityDecision)
     _set_verdict(out, verdict)
     _set_certificate(out, certificate)
@@ -173,6 +171,51 @@ def _decided(
     _set_g(out, g)
     _set_details(out, det)
     return out
+
+
+def _rules(s: SortedSpectrum) -> tuple[tuple, float | None]:
+    """The first matching rule's outcome, and pattern_b's g, on a descending
+    spectrum; builds no record.  The boundary warning names the caller's caller.
+    """
+    l1, l2, l3, l4, l5 = s.values
+
+    # lam1 dominates every |lam_i|, which in descending order is these two
+    if not (l1 >= 0.0 and l1 >= -l5):
+        return _IS_PF_VIOLATED, None
+    k = 0
+    if l1 >= 2.0 ** 1022:  # e1 can overflow: decide every rule at unit scale
+        s, k = _unit_scale(s)
+        l1, l2, l3, l4, l5 = s.values
+    e1 = _trace(l1, l2, l3, l4, l5)
+    if not e1 >= 0.0:
+        return _IS_TRACE_VIOLATED, None
+    if not l1 + l3 + l4 >= 0.0:
+        return _IS_MN_VIOLATED, None
+    if l2 <= 0.0:
+        return _IS_SULEIMANOVA, None
+    if l3 <= 0.0:
+        return _IS_TWO_POSITIVE, None
+    if l3 <= e1:
+        return _IS_DIRECT_SUM, None
+
+    # past here lam3 > e1 >= 0, so the boundary exclusion applies
+    if l1 > 0.0 and abs(l5 + l1) <= BOUNDARY_WARN_TOL * l1:
+        warnings.warn(_BOUNDARY_MESSAGE, BoundaryProximityWarning, stacklevel=3)
+    if l5 == -l1:
+        return _IS_NEGATED_PERRON_BOUNDARY, None
+
+    # the rules above proved the gates' shared region checks: lam5 > -lam1
+    # (lam1 >= -lam5 and lam5 != -lam1), e1 >= 0, and lam3 > e1; so each
+    # pattern is decided by the one check its gate adds, at unit scale; with
+    # lam5 > -lam1, a list whose lam1 is in [1, 2) is at unit scale already
+    if not 1.0 <= l1 < 2.0:
+        s, k = _unit_scale(s)
+    if s._ur[1] >= 0.0:  # r; v and w wait for the builder
+        return _IS_PATTERN_A, None
+    g = _unit_g(s)
+    if g is not None:
+        return _IS_PATTERN_B, math.ldexp(g, k)
+    return _IS_UNKNOWN, None
 
 
 def classify(s: SortedSpectrum) -> RealizabilityDecision:
@@ -183,48 +226,8 @@ def classify(s: SortedSpectrum) -> RealizabilityDecision:
     """
     if not isinstance(s, SortedSpectrum):
         raise _unsorted(s)
-    l1, l2, l3, l4, l5 = s.values
-    det = _new(DecisionDetails)
-    _set_spectrum(det, s)
-
-    # lam1 dominates every |lam_i|, which in descending order is these two
-    if not (l1 >= 0.0 and l1 >= -l5):
-        return _decided(_NOT_REALIZABLE, None, _PF_VIOLATED, det)
-    k = 0
-    if l1 >= 2.0 ** 1022:  # e1 can overflow: decide every rule at unit scale
-        s, k = _unit_scale(s)
-        l1, l2, l3, l4, l5 = s.values
-    e1 = _trace(l1, l2, l3, l4, l5)
-    if not e1 >= 0.0:
-        return _decided(_NOT_REALIZABLE, None, _TRACE_VIOLATED, det)
-    if not l1 + l3 + l4 >= 0.0:
-        return _decided(_NOT_REALIZABLE, None, _MN_VIOLATED, det)
-    if l2 <= 0.0:
-        return _decided(_REALIZABLE, _SULEIMANOVA, None, det)
-    if l3 <= 0.0:
-        return _decided(_REALIZABLE, _TWO_POSITIVE, None, det)
-    if l3 <= e1:
-        return _decided(_REALIZABLE, _DIRECT_SUM, None, det)
-
-    # past here lam3 > e1 >= 0, so the boundary exclusion applies
-    if l1 > 0.0 and abs(l5 + l1) <= BOUNDARY_WARN_TOL * l1:
-        warnings.warn(_BOUNDARY_MESSAGE, BoundaryProximityWarning, stacklevel=2)
-    if l5 == -l1:
-        return _decided(_NOT_REALIZABLE, None, _NEGATED_PERRON_BOUNDARY, det)
-
-    # the rules above proved the gates' shared region checks: lam5 > -lam1
-    # (lam1 >= -lam5 and lam5 != -lam1), e1 >= 0, and lam3 > e1; so each
-    # pattern is decided by the one check its gate adds, at unit scale; with
-    # lam5 > -lam1, a list whose lam1 is in [1, 2) is at unit scale already
-    if not 1.0 <= l1 < 2.0:
-        s, k = _unit_scale(s)
-    if s._ur[1] >= 0.0:  # r; v and w wait for the builder
-        return _decided(_REALIZABLE, _PATTERN_A, None, det)
-    g = _unit_g(s)
-    if g is not None:
-        g = math.ldexp(g, k)
-        return _decided(_REALIZABLE, _PATTERN_B, None, det, g)
-    return _decided(_UNKNOWN, None, None, det)
+    outcome, g = _rules(s)
+    return _decided(outcome, s, g)
 
 
 def realize(s: SortedSpectrum, decision: RealizabilityDecision) -> SymMatrix5 | None:
@@ -255,12 +258,10 @@ def classify_trace_zero(s: SortedSpectrum) -> RealizabilityDecision:
     l1, l2, _, _, l5 = s.values
     if l5 < -l1 or not is_trace_zero(s):
         return classify(s)
-    det = _new(DecisionDetails)
-    _set_spectrum(det, s)
     # fsum: the sign of a sum that cancels must not depend on the Python
     # version (3.12's sum() is compensated, 3.11's is not)
     a, b, c, d, e = _unit_scale(s)[0].values
     cube_sum = math.fsum((a ** 3, b ** 3, c ** 3, d ** 3, e ** 3))
     if cube_sum >= 0.0 and l2 + l5 <= 0.0:
-        return _decided(_REALIZABLE, _TRACE_ZERO, None, det)
-    return _decided(_NOT_REALIZABLE, None, _TRACE_ZERO_VIOLATED, det)
+        return _decided(_IS_TRACE_ZERO, s)
+    return _decided(_IS_TRACE_ZERO_VIOLATED, s)

@@ -27,9 +27,9 @@ import operator
 from dataclasses import dataclass
 
 from .classify import (
+    _IS_GUO_CLOSURE,
     Certificate,
     RealizabilityDecision,
-    Verdict,
     _decided,
     _new,
     classify,
@@ -128,8 +128,6 @@ _PLUS = Sign.PLUS
 _MINUS = Sign.MINUS
 _KNOWN_REGION = ClosureRule.KNOWN_REGION
 _DIRECT = ClosureRule.DIRECT
-_REALIZABLE = Verdict.REALIZABLE
-_GUO_CLOSURE = Certificate.GUO_CLOSURE
 
 
 def apply_perturbation(s: SortedSpectrum, p: Perturbation) -> SortedSpectrum:
@@ -161,7 +159,7 @@ def decide_perturbed(s: SortedSpectrum, p: Perturbation) -> PerturbedDecision:
         _set_decision(out, direct)
         _set_rule(out, _DIRECT)
     else:
-        _set_decision(out, _decided(_REALIZABLE, _GUO_CLOSURE, None, direct.details))
+        _set_decision(out, _decided(_IS_GUO_CLOSURE, perturbed))
         _set_rule(out, rule)
     _set_perturbed(out, perturbed)
     _set_matrix(out, realize(perturbed, direct))

@@ -15,14 +15,14 @@ boundary -1 exactly, which is how the boundary exclusion shows up on maps.
 
 Rows stream in lexicographic (t, x, d, y) order, each carrying the verdict
 of :func:`~sniep5.classify.classify` and the map scalars, so the output CSV
-plots directly.
+plots directly.  Verdicts come from ``classify``'s rule list: no record is built.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .classify import Certificate, RealizabilityDecision, Reason, Verdict, classify
+from .classify import Certificate, RealizabilityDecision, Reason, Verdict, _rules
 from .errors import EmptyGrid
 from .spectrum import _checked_sorted
 
@@ -111,13 +111,13 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                         # and such tuples misrepresent the grid point, so
                         # they are dropped before they are classified
                         continue
-                    decision = classify(s)
+                    (verdict, certificate, reason), g = _rules(s)
                     # u and r only: the sweep builds no matrix, so v and w
                     # are never computed
                     u, r = s._ur
                     yield tuple.__new__(RegionSample, (
-                        x, y, lam4, lam5, e1, u, r, decision.g,
-                        decision.verdict, decision_tag(decision),
+                        x, y, lam4, lam5, e1, u, r, g,
+                        verdict, _TAGS[certificate or reason],
                     ))
                     emitted += 1
     if emitted == 0:

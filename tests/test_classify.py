@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import sniep5 as sn
 from sniep5 import Certificate, Reason, Verdict
-from sniep5.classify import _decided, is_trace_zero
+from sniep5.classify import _IS_PF_VIOLATED, _decided, is_trace_zero
 from sniep5.spectrum import _expand, _region, _trace, _unit_scale
 from support import bytes_each, draw_box_point, hex_bits, poly_from_roots, sample_until
 from test_cli import DIRECT_SUM, MN, SULEIMANOVA, TRACE, TWO_POSITIVE
@@ -102,9 +102,11 @@ def test_negated_perron_boundary():
 
 def test_near_boundary_warns_but_decides():
     s = sn.SortedSpectrum((1.0, 0.9, 0.85, -0.95, -1.0 + 1e-13))
-    with pytest.warns(sn.BoundaryProximityWarning):
+    with pytest.warns(sn.BoundaryProximityWarning) as caught:
         d = sn.classify(s)
     assert d.reason is not Reason.NEGATED_PERRON_BOUNDARY
+    # the warning names the caller of classify
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_no_warning_away_from_boundary():
@@ -418,9 +420,11 @@ def test_classify_computes_only_what_the_verdict_reads(vals, tag, absent, presen
         assert name not in vars(s)
     for name in present:
         assert name in vars(s)
-    # reading the details computes them then, once, onto the spectrum
+    # reading the details computes them then, once, onto the spectrum: e1..e5
+    # and the pair u, r, never v and w
     d.details.to_json_dict()
-    assert "elem_syms" in s.__dict__ and "uvwr" in s.__dict__
+    assert "elem_syms" in s.__dict__ and "_ur" in s.__dict__
+    assert "uvwr" not in s.__dict__
     # on a twin classified the same way, a later compute_uvwr gives the
     # eager bits, v and w included
     twin = sn.sort_descending(sn.Spectrum(vals[::-1]))
@@ -523,13 +527,13 @@ def test_every_exit_builds_a_decision_the_constructor_accepts(decide, vals, tag)
 
 
 def test_internal_decisions_keep_the_compact_layout():
-    # bytes per decision from _decided and from the constructor; reading
-    # __dict__ would materialize a per-instance dict, about 60 bytes more
-    det = sn.DecisionDetails(EX1)
-    internal = bytes_each(lambda: _decided(
-        Verdict.NOT_REALIZABLE, None, Reason.PF_VIOLATED, det))
+    # bytes per decision from _decided and from the constructors, each with
+    # its own details of the same spectrum; reading __dict__ would
+    # materialize a per-instance dict, about 60 bytes more
+    internal = bytes_each(lambda: _decided(_IS_PF_VIOLATED, EX1))
     public = bytes_each(lambda: sn.RealizabilityDecision(
-        Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED, details=det))
+        Verdict.NOT_REALIZABLE, reason=Reason.PF_VIOLATED,
+        details=sn.DecisionDetails(EX1)))
     assert internal <= public + 16, (internal, public)
 
 
@@ -852,7 +856,7 @@ _ENUMS = (Verdict, Certificate, Reason, sn.Sign, sn.ClosureRule)
 
 
 @pytest.mark.parametrize("module,functions", [
-    ("sniep5.classify", ("classify", "realize", "classify_trace_zero")),
+    ("sniep5.classify", ("_rules", "classify", "realize", "classify_trace_zero")),
     ("sniep5.guo", ("apply_perturbation", "decide_perturbed")),
 ])
 def test_enum_aliases_are_the_members_they_name(module, functions):

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -241,6 +242,15 @@ def test_direct_fallback_plus():
     assert d.rule is ClosureRule.DIRECT
     assert d.decision.certificate is Certificate.DIRECT_SUM
     assert d.perturbed.values == (1010.0, 391.0, 360.0, -641.0, -750.0)
+
+
+def test_boundary_warning_of_the_original_list_names_guo():
+    # the plus move classifies the original list, which sits on lam5 = -lam1,
+    # from decide_perturbed; the perturbed list is far from the boundary
+    s = sn.SortedSpectrum((1.0, 0.45, 0.4, -0.85, -1.0))
+    with pytest.warns(sn.BoundaryProximityWarning) as caught:
+        sn.decide_perturbed(s, sn.Perturbation(2, "plus", 0.1))
+    assert [Path(w.filename).name for w in caught] == ["guo.py"]
 
 
 def test_direct_fallback_can_stay_unknown():

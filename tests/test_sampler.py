@@ -1,5 +1,6 @@
 """Deterministic region sweep: grid walk, filters, CSV rows."""
 import hashlib
+import importlib
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 import sniep5 as sn
 from sniep5 import Verdict
+from sniep5.classify import _rules
 
 EX1 = sn.SortedSpectrum((1000.0, 381.0, 360.0, -641.0, -750.0))
 
@@ -15,6 +17,12 @@ def _collect(grid_n, ts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
         return list(sn.sample_region(grid_n, ts))
+
+
+def _quiet_classify(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        return sn.classify(s)
 
 
 def test_grid_validation():
@@ -93,11 +101,32 @@ def test_rows_dropped_for_negative_trace_are_not_classified(monkeypatch):
 
     def counting(s):
         calls.append(s)
-        return sn.classify(s)
+        return _rules(s)
 
-    monkeypatch.setattr("sniep5.sampler.classify", counting)
+    monkeypatch.setattr("sniep5.sampler._rules", counting)
     rows = _collect(24, [0.0, 0.1, 0.35])
     assert len(calls) == len(rows) == 18_290
+
+
+def test_sweep_builds_no_decision_record(monkeypatch):
+    # _decided builds every decision record; the package exports a function
+    # named classify, so look the module up
+    def refuse(*args):
+        raise AssertionError("the sweep built a decision record")
+
+    monkeypatch.setattr(importlib.import_module("sniep5.classify"), "_decided", refuse)
+    with pytest.raises(AssertionError, match="decision record"):
+        sn.classify(EX1)
+    assert len(_collect(6, [0.1])) > 0
+
+
+def test_boundary_warnings_name_the_code_that_iterates_the_sweep():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        list(sn.sample_region(24, [0, 0.1, 0.35]))
+    assert len(caught) == 1_518
+    assert {w.category for w in caught} == {sn.BoundaryProximityWarning}
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_trace_zero_slice_never_emits_negative_trace():
@@ -141,6 +170,7 @@ def test_24_grid_row_bits_digest():
     # every float field's float.hex, the verdict value and the tag of every
     # row: the CSV's 12 significant digits cannot see a last-bit change in u
     # or r; recorded before u and r were read apart from v and w
+    # each row also agrees with classify on its list, g by float.hex
     h = hashlib.sha256()
     n = 0
     for row in _collect(24, [0.0, 0.1, 0.35]):
@@ -150,6 +180,9 @@ def test_24_grid_row_bits_digest():
         cells.append(row.tag)
         h.update((",".join(cells) + "\n").encode())
         n += 1
+        d = _quiet_classify(sn.SortedSpectrum((1.0, *row[:4])))
+        assert d.verdict is row.verdict and sn.decision_tag(d) == row.tag
+        assert (d.g is None and row.g is None) or d.g.hex() == row.g.hex()
     assert n == 18_290
     assert h.hexdigest() == (
         "80ac939e6bb81d562275a4ada367edbcdae606cea660ea462b98b904f88eefa7")
