@@ -16,6 +16,9 @@ boundary -1 exactly, which is how the boundary exclusion shows up on maps.
 Rows stream in lexicographic (t, x, d, y) order, each carrying the verdict
 of :func:`~sniep5.classify.classify` and the map scalars, so the output CSV
 plots directly.  Verdicts come from ``classify``'s rule list: no record is built.
+A row's e1 comes from ``_trace`` and decides the drop of a negative trace
+before anything is built; each kept row is built with e1..e5 and u, r
+stored in one step (``_sorted_with_ur``), so it reads nothing lazily.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .classify import Certificate, RealizabilityDecision, Reason, Verdict, _rules
 from .errors import EmptyGrid
-from .spectrum import _checked_sorted
+from .spectrum import _sorted_with_ur, _trace
 
 CSV_HEADER = "lambda2,lambda3,lambda4,lambda5,e1,u,r,g,verdict,tag"
 
@@ -100,20 +103,21 @@ def _generate(n: int, ts: list[float]) -> Iterator[RegionSample]:
                     y = t + (ymax - t) * ll / n
                     lam4 = d - x - y
                     # SortedSpectrum's order check; grid values are finite
-                    # floats, so _checked_sorted needs no second pass
+                    # floats, so _sorted_with_ur needs no second pass
                     if not 1.0 >= x >= y >= lam4 >= lam5 >= -1.0:
                         continue
-                    s = _checked_sorted((1.0, x, y, lam4, lam5))
-                    e1 = s.elem_syms.e1
+                    # _trace has the bits of elem_syms.e1
+                    e1 = _trace(1.0, x, y, lam4, lam5)
                     if e1 < 0.0:
                         # the region has trace t >= 0; at t = 0 rounding in
                         # the reconstructed sum can land a hair below zero,
                         # and such tuples misrepresent the grid point, so
-                        # they are dropped before they are classified
+                        # they are dropped before anything is built
                         continue
+                    # e1..e5 and u, r stored in one step; the sweep builds
+                    # no matrix, so v and w are never computed
+                    s = _sorted_with_ur((1.0, x, y, lam4, lam5))
                     (verdict, certificate, reason), g = _rules(s)
-                    # u and r only: the sweep builds no matrix, so v and w
-                    # are never computed
                     u, r = s._ur
                     yield tuple.__new__(RegionSample, (
                         x, y, lam4, lam5, e1, u, r, g,

@@ -16,8 +16,12 @@ the scale-back of the built rows (``_built_matrix``).
 hand-written ``__init__``.  It computes e1..e5 on first read, and a sorted
 one the pair u, r (``_ur``) and the four scalars u/v/w/r (``uvwr``); each
 is stored in the instance dict with ``object.__setattr__``, so it is not
-slotted.  ``classify``, the five-cycle gate and the region sweep read
-``_ur`` alone, so a list that is never built skips v and w.  The
+slotted.  ``classify``, the five-cycle gate, the decision details and the
+region sweep read ``_ur`` alone, so a list that is never built skips v and
+w; ``_five_cycle_ur`` is the one u, r expression.  ``_sorted_with_ur`` is
+``_checked_sorted`` with e1..e5 and ``_ur`` stored at once, under the same
+names and bits: the region sweep builds each row it keeps with it, so a row
+makes one expansion and no lazy read.  The
 expansion is written out factor by factor, so each e_k comes out
 bit-identical to the loop ``nxt[i] += c; nxt[i + 1] -= c * lam`` over the
 descending entries.  ``_trace`` gives e1 alone with those bits, from the
@@ -173,9 +177,7 @@ class SortedSpectrum(Spectrum):
     def _ur(self) -> tuple[float, float]:
         """The five-cycle scalars u and r, the two the pattern stage reads,
         stored on first read as a plain pair."""
-        _, l2, _, _, l5 = self.values
-        e1, e2, e3, _, _ = self.elem_syms
-        return -e2 - l2 * l2 - l5 * l5, e3 + e1 * (l2 * l2 + l5 * l5)
+        return _five_cycle_ur(self.values, self.elem_syms)
 
     @_stored
     def uvwr(self) -> PatternAScalars:
@@ -245,6 +247,28 @@ def _checked_sorted(values: tuple) -> SortedSpectrum:
     """
     out = object.__new__(SortedSpectrum)
     object.__setattr__(out, "values", values)
+    return out
+
+
+def _five_cycle_ur(values: tuple, es: ElemSyms) -> tuple[float, float]:
+    """u and r of the descending ``values`` whose e1..e5 are ``es``: the one
+    expression behind both ``SortedSpectrum._ur`` and ``_sorted_with_ur``."""
+    _, l2, _, _, l5 = values
+    e1, e2, e3, _, _ = es
+    return -e2 - l2 * l2 - l5 * l5, e3 + e1 * (l2 * l2 + l5 * l5)
+
+
+def _sorted_with_ur(values: tuple) -> SortedSpectrum:
+    """``_checked_sorted(values)`` with e1..e5 and the pair u, r already
+    stored, under the names and with the bits of the lazy reads.
+
+    Same precondition as ``_checked_sorted``; one ``_expand`` call.
+    """
+    out = object.__new__(SortedSpectrum)
+    es = _expand(*values)
+    object.__setattr__(out, "values", values)
+    object.__setattr__(out, "elem_syms", es)
+    object.__setattr__(out, "_ur", _five_cycle_ur(values, es))
     return out
 
 

@@ -120,6 +120,29 @@ def test_sweep_builds_no_decision_record(monkeypatch):
     assert len(_collect(6, [0.1])) > 0
 
 
+def test_sweep_expands_once_per_row_and_reads_nothing_lazily(monkeypatch):
+    # each yielded row is built with e1..e5 and u, r stored in one step; a
+    # candidate dropped for e1 < 0 is decided on _trace and builds nothing
+    spectrum = importlib.import_module("sniep5.spectrum")
+    expand = spectrum._expand
+    get = spectrum._stored.__get__
+    counts = {"expand": 0, "lazy": 0}
+
+    def counting_expand(*values):
+        counts["expand"] += 1
+        return expand(*values)
+
+    def counting_get(self, obj, owner=None):
+        counts["lazy"] += 1
+        return get(self, obj, owner)
+
+    monkeypatch.setattr(spectrum, "_expand", counting_expand)
+    monkeypatch.setattr(spectrum._stored, "__get__", counting_get)
+    rows = _collect(24, [0.0, 0.1, 0.35])
+    assert len(rows) == 18_290
+    assert counts == {"expand": 18_290, "lazy": 0}
+
+
 def test_boundary_warnings_name_the_code_that_iterates_the_sweep():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import sniep5 as sn
 from sniep5.pattern_b import compute_klm
-from sniep5.spectrum import _built_matrix, _unit_scale
+from sniep5.spectrum import (_built_matrix, _checked_sorted, _sorted_with_ur,
+                             _unit_scale)
 from support import (
     assert_ident,
     bytes_each,
@@ -334,6 +336,27 @@ def test_sort_descending_matches_checked_constructor(vals):
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     assert hex_bits(got.values) == hex_bits(want.values)
     assert hex_bits(sn.elem_syms(got).as_tuple()) == hex_bits(sn.elem_syms(want).as_tuple())
+
+
+def test_eager_and_lazy_stores_hold_the_same_bits():
+    # the sweep's constructor stores what the lazy reads would, bit for bit,
+    # and in the same order; v and w still wait for compute_uvwr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sn.BoundaryProximityWarning)
+        lists = [(1.0, *row[:4]) for row in sn.sample_region(24, [0.0, 0.1, 0.35])]
+    assert len(lists) == 18_290
+    lists += [(0.0, 0.0, -0.0, -0.0, -0.0), (1.0, 0.5, -0.0, -0.5, -1.0),
+              (-0.0, -0.0, -0.0, -0.0, -0.0), EX1]
+    for v in lists:
+        eager = _sorted_with_ur(v)
+        lazy = _checked_sorted(v)
+        assert list(vars(eager)) == ["values", "elem_syms", "_ur"], v
+        assert hex_bits(eager.elem_syms) == hex_bits(lazy.elem_syms), v
+        assert hex_bits(eager._ur) == hex_bits(lazy._ur), v
+        assert list(vars(eager)) == list(vars(lazy)), v
+        assert type(eager.elem_syms) is sn.ElemSyms
+        assert _uvwr_bits(eager) == _uvwr_bits(sn.SortedSpectrum(v)), v
+        assert eager == sn.SortedSpectrum(v)
 
 
 def test_stores_keep_the_compact_layout():
